@@ -13,7 +13,7 @@ repro spaces: a directory holding
   content hashes.
 
 Crash consistency follows the checkpoint pattern
-(:meth:`repro.search.checkpoint.SearchCheckpoint.save`): rows are
+(:meth:`repro.search.journal.CheckpointGenerations.save`): rows are
 flushed per append (a SIGKILLed sweep loses at most the torn trailing
 line), shards are fsynced when sealed, and the manifest is published by
 write-tmp → fsync → atomic rename → directory fsync.  After any kill,

@@ -43,7 +43,6 @@ from .problems.uno import UNO_PAPER_SHAPES, uno_head
 from .events import JsonlSink
 from .rewards import SurrogateReward
 from .search import NasSearch, SEARCH_METHODS, SearchConfig, resume_durable
-from .search.checkpoint import SearchCheckpoint
 
 __all__ = ["main"]
 
@@ -85,6 +84,11 @@ def _cmd_search(args) -> int:
             print(f"{name:<10} {'yes' if m.learns else 'no':>6}  "
                   f"{m.summary}")
         return 0
+    if getattr(args, "preempt", False) \
+            and getattr(args, "journal_dir", None) is None:
+        # the journal's checkpoint generations are the only place a
+        # preemption capture is persisted
+        raise SystemExit("--preempt requires --journal-dir")
     shapes, head, cost = _PAPER[args.problem]
     space = get_space(_space_name(args.problem, args.size))
     reward = SurrogateReward(
@@ -103,8 +107,6 @@ def _cmd_search(args) -> int:
                        backend=backend,
                        max_iterations=getattr(args, "iterations", None),
                        preemptible=getattr(args, "preempt", False),
-                       checkpoint_path=getattr(args, "checkpoint_path",
-                                               None),
                        journal_dir=getattr(args, "journal_dir", None),
                        journal_fsync_every=getattr(args,
                                                    "journal_fsync_every",
@@ -121,17 +123,12 @@ def _cmd_search(args) -> int:
     sink = (JsonlSink(args.events,
                       fsync_every=getattr(args, "events_fsync_every", None))
             if getattr(args, "events", None) else None)
-    resume_path = getattr(args, "resume", None)
     try:
         if getattr(args, "resume_durable", False):
             # crash-anywhere restart: load the newest intact checkpoint
             # generation and replay the journal suffix so completed
             # evaluations are never re-executed
             search = resume_durable(space, reward, cfg, event_sink=sink)
-        elif resume_path:
-            ckpt = SearchCheckpoint.load(resume_path)
-            search = NasSearch(space, reward, cfg, resume_from=ckpt,
-                               event_sink=sink)
         else:
             search = NasSearch(space, reward, cfg, event_sink=sink)
         if search.num_replay_loaded:
@@ -144,9 +141,8 @@ def _cmd_search(args) -> int:
     if sink is not None:
         print(f"{sink.num_written} events streamed to {args.events}")
     if result.preempted:
-        where = cfg.checkpoint_path or "search.checkpoints[-1]"
-        print(f"preempted; resumable checkpoint at {where} "
-              f"(rerun with --resume to continue)")
+        print(f"preempted; resumable checkpoint in {cfg.journal_dir} "
+              f"(rerun with --resume-durable to continue)")
     best = (f"{result.best().reward:.3f}" if result.records else "n/a")
     print(f"evaluations: {result.num_evaluations} "
           f"({result.unique_architectures} unique); "
@@ -351,14 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preempt", action="store_true",
                    help="handle SIGTERM/SIGINT gracefully: stop at the "
                         "next event boundary, capture a resumable "
-                        "checkpoint (see --checkpoint-path), and exit "
-                        "cleanly")
-    p.add_argument("--checkpoint-path",
-                   help="write the most recent checkpoint (periodic or "
-                        "preemption) to this JSON file")
-    p.add_argument("--resume",
-                   help="resume from a checkpoint JSON written by "
-                        "--checkpoint-path")
+                        "checkpoint into --journal-dir (required), and "
+                        "exit cleanly")
     p.add_argument("--journal-dir",
                    help="durability root: write a checksummed "
                         "write-ahead journal of every search event plus "
@@ -368,10 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fsync the journal every Nth record (default: "
                         "flush only; requires --journal-dir)")
     p.add_argument("--checkpoint-every-records", type=int, metavar="N",
-                   help="capture a checkpoint every N reward records — "
-                        "the durability clock that works on every "
-                        "backend, including host-time ones where the "
-                        "simulated interval timer never fires")
+                   help="capture a checkpoint every N reward records "
+                        "(works on every backend); --journal-dir "
+                        "persists it")
     p.add_argument("--resume-durable", action="store_true",
                    help="resume a crashed run from --journal-dir: load "
                         "the newest intact checkpoint generation and "

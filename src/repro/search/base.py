@@ -80,11 +80,6 @@ class SearchConfig:
     max_eval_retries: int = 3
     retry_backoff: float = 5.0
     retry_backoff_cap: float = 120.0
-    #: capture a resumable search checkpoint every this many virtual
-    #: seconds (None = checkpointing off)
-    checkpoint_interval: float | None = None
-    #: also write the most recent checkpoint to this JSON file
-    checkpoint_path: str | None = None
     #: numerical-health guards (repro.health): None or mode "off" leaves
     #: every guarded code path bit-identical to the unguarded build;
     #: "check" detects and crashes the offending agent; "recover" rolls
@@ -117,9 +112,10 @@ class SearchConfig:
     #: fsync the journal after every Nth record (None = never fsync —
     #: flush-only, survives process crashes but not host crashes)
     journal_fsync_every: int | None = None
-    #: additionally capture a checkpoint every time this many new reward
-    #: records have accumulated since the last capture (None = off);
-    #: fires at iteration boundaries, so resumed runs stay bit-identical
+    #: capture a resumable checkpoint every time this many new reward
+    #: records have accumulated since the last capture (None = off).  It
+    #: is the one checkpoint clock and works on every backend; it fires
+    #: at iteration boundaries, so resumed runs stay bit-identical
     checkpoint_every_records: int | None = None
     #: method="evolution": aging-population window and tournament draw
     #: (defaults follow Real et al., 2018)
@@ -184,9 +180,6 @@ class SearchConfig:
             raise ValueError("wall_time must be positive")
         if self.batch_deadline is not None and self.batch_deadline <= 0:
             raise ValueError("batch_deadline must be positive")
-        if self.checkpoint_interval is not None \
-                and self.checkpoint_interval <= 0:
-            raise ValueError("checkpoint_interval must be positive")
         if self.max_eval_retries < 0:
             raise ValueError("max_eval_retries must be non-negative")
         if self.journal_fsync_every is not None \

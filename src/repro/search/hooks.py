@@ -92,7 +92,7 @@ class BoundaryHook(LifecycleHooks):
 
     The boundary is everything a fresh lifetime needs to replay from
     this exact point — RNG state, policy/optimizer vectors, counters,
-    digest — and feeds both periodic checkpoints and in-run
+    digest — and feeds both record-count checkpoints and in-run
     resurrection.  ``capture_lr`` additionally records the (possibly
     backed-off) learning rate when the recover-mode health layer is on.
     """
@@ -127,12 +127,11 @@ class RecordCheckpointHook(LifecycleHooks):
     """Gives the runner a record-count checkpoint opportunity at every
     iteration start (``SearchConfig.checkpoint_every_records``).
 
-    Real (host-time) backends never advance the virtual clock, so the
-    interval checkpoint timer never fires for them; counting reward
-    records is the clock that works on every backend.  The callback only
-    *triggers* — the runner defers the actual capture to a zero-delay
-    sim process so it observes the same globally consistent
-    parked-at-yield-points state the interval clock does (see
+    Counting reward records is the checkpoint clock: it works on every
+    backend, including host-time ones whose virtual clock never
+    advances.  The callback only *triggers* — the runner defers the
+    actual capture to a zero-delay sim process so it observes a globally
+    consistent parked-at-yield-points state (see
     ``NasSearch._maybe_record_checkpoint`` for why capturing inline
     here would tear a sync exchange round in half).
     """

@@ -1,11 +1,12 @@
 """Write-ahead search journal + checkpoint generations (crash-anywhere
 durability).
 
-Interval checkpoints bound the re-execution window of a killed search to
-one checkpoint interval.  This module shrinks it to (at most) one
-*evaluation*: every :class:`~repro.events.SearchEvent` the search emits
-is appended — checksummed, before the search acts on it further — to a
-JSONL write-ahead journal, and checkpoints are written as verified
+A checkpoint alone bounds the re-execution window of a killed search to
+the records since the last capture (one ``checkpoint_every_records``
+period).  This module shrinks it to (at most) one *evaluation*: every
+:class:`~repro.events.SearchEvent` the search emits is appended —
+checksummed, before the search acts on it further — to a JSONL
+write-ahead journal, and checkpoints are written as verified
 *generations* next to it.  Resume then becomes:
 
 1. load the newest checkpoint generation whose sha256 verifies (falling
@@ -204,7 +205,8 @@ class CheckpointGenerations:
     newest-first and returns the first whose digest verifies, logging a
     warning for every generation it has to discard: a crash can tear at
     most the newest file, and bit rot in it costs one generation, not
-    the run.
+    the run.  A ``.tmp`` left by a save torn mid-write is never read;
+    :meth:`load_latest` deletes it.
     """
 
     def __init__(self, directory, keep: int = 5) -> None:
@@ -245,6 +247,11 @@ class CheckpointGenerations:
     def load_latest(self) -> tuple[SearchCheckpoint, dict] | None:
         """Newest generation that verifies, as ``(checkpoint,
         integrity)``; None when no generation survives."""
+        for tmp in self.dir.glob("ckpt-*.json.tmp"):
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
         for path in reversed(self.paths()):
             try:
                 data = json.loads(path.read_text())

@@ -31,10 +31,12 @@ service retries failed jobs with capped exponential backoff and
 surfaces exhausted jobs as failure rewards; a crashed agent coroutine
 deregisters from the parameter server cleanly (no deadlocked barrier)
 and is reported in ``SearchResult.failed_agents``; and
-``checkpoint_interval`` captures resumable
-:class:`~repro.search.checkpoint.SearchCheckpoint` snapshots from which
-a killed search continues deterministically.  With none of these knobs
-set, the loop is byte-for-byte the fault-free search.
+``checkpoint_every_records`` captures resumable
+:class:`~repro.search.checkpoint.SearchCheckpoint` snapshots, which
+``journal_dir`` persists and
+:func:`~repro.search.journal.resume_durable` continues
+deterministically.  With none of these knobs set, the loop is
+byte-for-byte the fault-free search.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from ..events import (AGENT_DONE, CHECKPOINT, CRASH, PREEMPT, RESTART,
                       EventSink, TeeSink, emit)
 from ..hpc.cluster import Cluster
 from ..hpc.faults import FaultInjector
-from ..hpc.sim import Interrupt, Simulator, Timeout
+from ..hpc.sim import Interrupt, Simulator
 from ..nas.plancache import PlanCache
 from ..nas.space import Structure
 from ..rewards.base import RewardModel
@@ -65,17 +67,20 @@ from .hooks import (BoundaryHook, HealthHook, HookStack, NumericFaultHook,
 from .journal import SearchJournal
 from .loop import AgentLoop
 
-__all__ = ["NasSearch", "run_search", "resume_search"]
+__all__ = ["NasSearch", "run_search"]
 
 
 class NasSearch:
     """Binds a search space + reward model to a :class:`SearchConfig`.
 
-    ``resume_from`` restarts a previously checkpointed search: finished
+    ``resume_from`` restarts from a captured checkpoint: finished
     agents stay finished, unfinished agents restart at their recorded
     iteration boundaries with restored policy/RNG/cache state, and the
-    parameter server resumes its exchange history.  ``event_sink``
-    receives the structured event stream from every layer.
+    parameter server resumes its exchange history.  Restarting from
+    disk goes through :func:`~repro.search.journal.resume_durable`,
+    which reads the checkpoint back and passes it here.
+    ``event_sink`` receives the structured event stream from every
+    layer.
     """
 
     def __init__(self, space: Structure, reward_model: RewardModel,
@@ -116,7 +121,6 @@ class NasSearch:
         self._digests: dict[int, str] = {}
         self._resume: dict[int, AgentBoundary] = {}
         self._search_end_time: float | None = None
-        self._ckpt_proc = None
         #: preemption cause (signal name or explicit request); None while
         #: the search is allowed to keep running
         self._preempt_cause: str | None = None
@@ -151,12 +155,22 @@ class NasSearch:
         into the write-ahead journal, and checkpoints are written as
         verified generations next to it.  Constructed from
         ``cfg.journal_dir`` unless an instance is handed in (which is
-        what ``resume_durable`` does, after reading it back)."""
+        what ``resume_durable`` does, after reading it back).
+
+        A fresh run refuses a directory that already holds a run: its
+        records would join the old ones, and a later resume would
+        replay the old run's evaluations into the new one."""
         self.journal = journal
         if self.journal is None and self.config.journal_dir is not None:
             self.journal = SearchJournal(
                 self.config.journal_dir,
                 fsync_every=self.config.journal_fsync_every)
+            if self.journal.writer.seq or self.journal.generations.paths():
+                self.journal.close()
+                raise ValueError(
+                    f"journal_dir {self.config.journal_dir!r} already "
+                    f"holds a run; continue it with resume_durable, or "
+                    f"start a fresh run in an empty directory")
         self.sink = (TeeSink(self.journal.sink, event_sink)
                      if self.journal is not None else event_sink)
 
@@ -257,9 +271,6 @@ class NasSearch:
         cfg = self.config
         if self.injector is not None:
             self.injector.attach(self.cluster)
-        if cfg.checkpoint_interval is not None and self._live_agents > 0:
-            self._ckpt_proc = self.sim.process(self._checkpoint_clock(),
-                                               name="checkpoint")
         for agent_id in range(cfg.allocation.num_agents):
             if agent_id in self._done_agents:
                 continue
@@ -288,8 +299,8 @@ class NasSearch:
                     worker_stats[key] = worker_stats.get(key, 0) + val
         now = self.sim.now
         if self._live_agents == 0 and self._search_end_time is not None:
-            # ignore stale timers (checkpoint clock, retry backoffs,
-            # injector repairs) that outlived the last agent
+            # ignore stale timers (retry backoffs, injector repairs)
+            # that outlived the last agent
             now = self._search_end_time
         end_time = min(now, cfg.wall_time)
         converged = (self._converged_agents == cfg.allocation.num_agents
@@ -313,8 +324,7 @@ class NasSearch:
         updater = self.updaters[agent_id]
         guard = cfg.guard
         guarded = updater is not None and guard is not None and guard.enabled
-        capture = (cfg.checkpoint_interval is not None
-                   or cfg.checkpoint_every_records is not None
+        capture = (cfg.checkpoint_every_records is not None
                    or cfg.max_restarts > 0 or cfg.preemptible
                    or self.journal is not None)
         hooks = HookStack([
@@ -386,8 +396,6 @@ class NasSearch:
         self._live_agents -= 1
         if self._live_agents == 0:
             self._search_end_time = self.sim.now
-            if self._ckpt_proc is not None:
-                self._ckpt_proc.interrupt("search finished")
             if self.injector is not None:
                 self.injector.stop()
 
@@ -460,8 +468,8 @@ class NasSearch:
         resume would push that round twice.  A process scheduled *now*
         gets a later sequence number than every already-queued wakeup,
         so by the time it runs each agent is parked at a yield point
-        with a fresh boundary — exactly the state the interval
-        checkpoint clock observes.
+        with a fresh boundary — the same globally consistent state a
+        preemption capture observes.
         """
         every = self.config.checkpoint_every_records
         if every is None or self._record_ckpt_pending:
@@ -474,7 +482,7 @@ class NasSearch:
     def _record_checkpoint_proc(self):
         try:
             # re-check: a capture scheduled just before another trigger
-            # (or the interval clock) may have already covered the gap
+            # (or a preemption capture) may have already covered the gap
             every = self.config.checkpoint_every_records
             if len(self.records) - self._records_at_ckpt >= every:
                 self._capture_checkpoint()
@@ -482,15 +490,6 @@ class NasSearch:
             self._record_ckpt_pending = False
         return
         yield   # pragma: no cover — generator so sim.process can run it
-
-    def _checkpoint_clock(self):
-        interval = self.config.checkpoint_interval
-        try:
-            while True:
-                yield Timeout(interval)
-                self._capture_checkpoint()
-        except Interrupt:
-            return
 
     def _capture_checkpoint(self) -> SearchCheckpoint:
         """Snapshot the search into a :class:`SearchCheckpoint`."""
@@ -543,8 +542,6 @@ class NasSearch:
             quarantine=quarantine)
         self.checkpoints.append(ckpt)
         self._records_at_ckpt = len(self.records)
-        if cfg.checkpoint_path is not None:
-            ckpt.save(cfg.checkpoint_path)
         if self.journal is not None:
             self.journal.save_checkpoint(ckpt)
         emit(self.sink, CHECKPOINT, self.sim.now,
@@ -616,11 +613,3 @@ def run_search(space: Structure, reward_model: RewardModel,
                config: SearchConfig | None = None) -> SearchResult:
     """Convenience one-call search run."""
     return NasSearch(space, reward_model, config).run()
-
-
-def resume_search(space: Structure, reward_model: RewardModel,
-                  checkpoint: SearchCheckpoint,
-                  config: SearchConfig | None = None) -> SearchResult:
-    """Resume a checkpointed search and run it to completion."""
-    return NasSearch(space, reward_model, config,
-                     resume_from=checkpoint).run()

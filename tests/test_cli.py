@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -49,6 +50,26 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["search", "--problem", "nt3", "--size", "large",
                   "--minutes", "5"])
+
+    def test_preempt_requires_journal_dir(self):
+        with pytest.raises(SystemExit, match="--journal-dir"):
+            main(["search", "--preempt", "--minutes", "5"])
+
+    def test_preempt_points_to_resume_durable(self, tmp_path, capsys,
+                                              monkeypatch):
+        class PreemptedAtStart(cli.NasSearch):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.request_preemption("test")
+
+        monkeypatch.setattr(cli, "NasSearch", PreemptedAtStart)
+        argv = ["search", "--method", "rdm", "--minutes", "5",
+                "--journal-dir", str(tmp_path / "journal")]
+        assert main(argv + ["--preempt"]) == 0
+        out = capsys.readouterr().out
+        assert "preempted" in out and "--resume-durable" in out
+        assert main(argv + ["--resume-durable"]) == 0
+        assert "preempted" not in capsys.readouterr().out
 
     def test_figure_command_validates_choice(self):
         with pytest.raises(SystemExit):

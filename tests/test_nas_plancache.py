@@ -18,7 +18,7 @@ from repro.nas.spaces import combo_small
 from repro.nas.ops import DenseOp, DropoutOp
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
-from repro.search import NasSearch, SearchConfig, resume_search, run_search
+from repro.search import NasSearch, SearchConfig, run_search
 
 SHAPES = {"x": (8,)}
 
@@ -196,7 +196,7 @@ class TestSearchIntegration:
         """Resuming keeps the reward model's warm cache (the runner must
         not replace an attached cache) and reproduces the fingerprint."""
         surrogate = make_surrogate(space)
-        cfg = small_config(minutes=30, checkpoint_interval=600.0)
+        cfg = small_config(minutes=30, checkpoint_every_records=24)
         search = NasSearch(space, surrogate, cfg)
         full = search.run()
         cache = surrogate.plan_cache
@@ -204,8 +204,8 @@ class TestSearchIntegration:
         warm_entries = len(cache)
 
         mid = search.checkpoints[len(search.checkpoints) // 2]
-        resumed = resume_search(space, surrogate, mid.round_trip(),
-                                small_config(minutes=30))
+        resumed = NasSearch(space, surrogate, small_config(minutes=30),
+                            resume_from=mid.round_trip()).run()
         assert surrogate.plan_cache is cache       # same warm cache
         assert len(cache) >= warm_entries
         assert resumed.fingerprint() == full.fingerprint()

@@ -9,7 +9,7 @@ from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.rewards.base import RewardModel
 from repro.search import (NasSearch, SearchCheckpoint, SearchConfig,
-                          resume_search, run_search)
+                          resume_durable, run_search)
 
 
 @pytest.fixture(scope="module")
@@ -102,43 +102,42 @@ class TestFaultedSearch:
 class TestCheckpointResume:
     @pytest.mark.parametrize("method", ["a3c", "a2c", "rdm"])
     def test_resume_reproduces_trajectory(self, space, method):
-        cfg = small_config(method, checkpoint_interval=600.0)
+        cfg = small_config(method, checkpoint_every_records=24)
         search = NasSearch(space, make_surrogate(space), cfg)
         full = search.run()
         assert len(search.checkpoints) >= 3
         ref = signature(full)
         mid = search.checkpoints[len(search.checkpoints) // 2]
-        resumed = resume_search(space, make_surrogate(space),
-                                mid.round_trip(), small_config(method))
+        resumed = NasSearch(space, make_surrogate(space),
+                            small_config(method),
+                            resume_from=mid.round_trip()).run()
         assert signature(resumed) == ref
         assert resumed.end_time == full.end_time
 
     def test_resume_from_saved_file(self, space, tmp_path):
-        path = tmp_path / "search.ckpt.json"
-        cfg = small_config(minutes=30, checkpoint_interval=600.0,
-                           checkpoint_path=str(path))
+        cfg = small_config(minutes=30, checkpoint_every_records=24,
+                           journal_dir=str(tmp_path))
         search = NasSearch(space, make_surrogate(space), cfg)
         full = search.run()
-        assert path.exists()
-        loaded = SearchCheckpoint.load(path)
+        loaded, _ = search.journal.generations.load_latest()
         assert loaded.time == search.checkpoints[-1].time
-        resumed = resume_search(space, make_surrogate(space), loaded,
-                                small_config(minutes=30))
+        resumed = resume_durable(space, make_surrogate(space), cfg).run()
         assert signature(resumed) == signature(full)
 
     def test_checkpoint_counters_restored(self, space):
-        cfg = small_config(minutes=30, checkpoint_interval=600.0)
+        cfg = small_config(minutes=30, checkpoint_every_records=24)
         search = NasSearch(space, make_surrogate(space), cfg)
         full = search.run()
-        resumed = resume_search(space, make_surrogate(space),
-                                search.checkpoints[0], small_config(minutes=30))
+        resumed = NasSearch(space, make_surrogate(space),
+                            small_config(minutes=30),
+                            resume_from=search.checkpoints[0]).run()
         assert resumed.num_evaluations == full.num_evaluations
         assert resumed.unique_architectures == full.unique_architectures
 
     def test_mismatched_config_rejected(self, space):
         search = NasSearch(space, make_surrogate(space),
                            small_config(minutes=20,
-                                        checkpoint_interval=300.0))
+                                        checkpoint_every_records=12))
         search.run()
         ckpt = search.checkpoints[0]
         with pytest.raises(ValueError):
@@ -151,7 +150,7 @@ class TestCheckpointResume:
     def test_unsupported_version_rejected(self, space):
         search = NasSearch(space, make_surrogate(space),
                            small_config(minutes=20,
-                                        checkpoint_interval=300.0))
+                                        checkpoint_every_records=12))
         search.run()
         data = search.checkpoints[0].to_json()
         data["version"] = 999
@@ -204,11 +203,11 @@ class TestChaosAcceptance:
         """Kill-at-T emulation: a checkpoint taken mid-run, resumed in a
         fresh process (JSON round trip), reproduces the uninterrupted
         fault-free remaining trajectory exactly."""
-        cfg = small_config(minutes=90, checkpoint_interval=900.0)
+        cfg = small_config(minutes=90, checkpoint_every_records=36)
         search = NasSearch(space, make_surrogate(space), cfg)
         full = search.run()
         for ckpt in search.checkpoints:
-            resumed = resume_search(space, make_surrogate(space),
-                                    ckpt.round_trip(),
-                                    small_config(minutes=90))
+            resumed = NasSearch(space, make_surrogate(space),
+                                small_config(minutes=90),
+                                resume_from=ckpt.round_trip()).run()
             assert signature(resumed) == signature(full)

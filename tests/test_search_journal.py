@@ -18,7 +18,8 @@ from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.search import NasSearch, SearchConfig
-from repro.search.journal import (CheckpointGenerations, JournalSink,
+from repro.search.journal import (GENERATIONS_DIR, JOURNAL_NAME,
+                                  CheckpointGenerations, JournalSink,
                                   JournalWriter, build_replay, read_journal,
                                   resume_durable)
 from repro.util import (FsyncPolicy, atomic_write_json, atomic_write_text)
@@ -142,7 +143,7 @@ def make_checkpoint():
                                 timeout=600.0, seed=7)
     cfg = SearchConfig(method="a3c", allocation=NodeAllocation(32, 4, 3),
                        wall_time=30 * 60.0, seed=1,
-                       checkpoint_interval=300.0)
+                       checkpoint_every_records=24)
     search = NasSearch(space, surrogate, cfg)
     search.run()
     return search.checkpoints[len(search.checkpoints) // 2]
@@ -285,3 +286,41 @@ class TestResumeDurableValidation:
                            journal_fsync_every=2,
                            checkpoint_every_records=6)
         assert cfg.journal_fsync_every == 2
+
+
+class TestFreshRunInUsedJournalDir:
+    """A fresh search must not append to a directory holding a run: a
+    later resume would replay the old run's rewards into the new one."""
+
+    def config(self, journal_dir):
+        return SearchConfig(method="a3c",
+                            allocation=NodeAllocation(10, 2, 3),
+                            wall_time=3600.0, seed=3, backend="serial",
+                            max_iterations=12, checkpoint_every_records=12,
+                            journal_dir=os.fspath(journal_dir))
+
+    def surrogate(self, space):
+        return SurrogateReward(space, COMBO_PAPER_SHAPES, combo_head(),
+                               TrainingCostModel.combo_paper(),
+                               epochs=1, train_fraction=0.1,
+                               timeout=600.0, seed=7)
+
+    def test_refuses_dir_holding_a_finished_run(self, tmp_path):
+        space = combo_small()
+        cfg = self.config(tmp_path)
+        full = NasSearch(space, self.surrogate(space), cfg).run()
+        journal = tmp_path / JOURNAL_NAME
+        before = journal.read_bytes()
+        with pytest.raises(ValueError, match="resume_durable"):
+            NasSearch(space, self.surrogate(space), cfg)
+        assert journal.read_bytes() == before
+        # the one way to continue it still works
+        resumed = resume_durable(space, self.surrogate(space), cfg).run()
+        assert resumed.fingerprint() == full.fingerprint()
+
+    def test_refuses_dir_holding_only_a_generation(self, tmp_path, ckpt):
+        CheckpointGenerations(tmp_path / GENERATIONS_DIR).save(
+            ckpt, journal_seq=0)
+        space = combo_small()
+        with pytest.raises(ValueError, match="resume_durable"):
+            NasSearch(space, self.surrogate(space), self.config(tmp_path))

@@ -25,7 +25,6 @@ from repro.search.ambs import AmbsProposer, RidgeEnsemble, encode_rows
 from repro.search.evolution import EvolutionProposer
 from repro.search.proposer import (HistoryProposer, PolicyProposer,
                                    RandomProposer)
-from repro.search.runner import resume_search
 from repro.analytics import evaluations_to_regret
 
 NEW_METHODS = ("ambs", "evolution")
@@ -90,6 +89,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SearchConfig(method="evolution", population_size=5,
                          tournament_size=6)
+        with pytest.raises(ValueError):
+            SearchConfig(method="evolution", population_size=5,
+                         tournament_size=0)
 
     def test_ambs_bounds(self):
         with pytest.raises(ValueError):
@@ -140,18 +142,19 @@ class TestCheckpointResume:
     @pytest.mark.parametrize("method", NEW_METHODS)
     def test_mid_checkpoint_resume_is_bit_identical(self, space, method):
         surrogate = make_surrogate(space)
-        cfg = small_config(method, checkpoint_interval=300.0)
+        cfg = small_config(method, checkpoint_every_records=12)
         search = NasSearch(space, surrogate, cfg)
         full = search.run()
         assert len(search.checkpoints) >= 2
         mid = search.checkpoints[len(search.checkpoints) // 2]
-        resumed = resume_search(space, surrogate, mid.round_trip(), cfg)
+        resumed = NasSearch(space, surrogate, cfg,
+                            resume_from=mid.round_trip()).run()
         assert resumed.fingerprint() == full.fingerprint()
 
     @pytest.mark.parametrize("method", NEW_METHODS)
     def test_boundaries_carry_the_history_watermark(self, space, method):
         surrogate = make_surrogate(space)
-        cfg = small_config(method, checkpoint_interval=300.0)
+        cfg = small_config(method, checkpoint_every_records=12)
         search = NasSearch(space, surrogate, cfg)
         search.run()
         ckpt = search.checkpoints[-1]

@@ -3,13 +3,15 @@
 The robustness contract: a preempted run stops at the next iteration
 boundary with a resumable checkpoint, and the resumed run is
 bit-identical to the run that was never interrupted.  The checkpoint
-file itself must survive crashes (fsync'd tmp + atomic replace) and
-``load`` must clean the residue a torn save leaves behind.
+generations under ``journal_dir`` must survive crashes (fsync'd tmp +
+atomic replace), and loading them must clean the residue a torn save
+leaves behind.
 """
 
 import os
 import signal
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +21,9 @@ from repro.hpc import NodeAllocation, TrainingCostModel
 from repro.nas.spaces import combo_small
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
-from repro.search import NasSearch, SearchConfig
+from repro.search import NasSearch, SearchConfig, resume_durable
 from repro.search.chaos import ChaosEvalModel
-from repro.search.checkpoint import SearchCheckpoint
-from repro.search.runner import resume_search
+from repro.search.journal import GENERATIONS_DIR, CheckpointGenerations
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +72,9 @@ class TestPreemption:
         assert len(ckpt.records) <= 12
         assert res.num_evaluations < base.num_evaluations
 
-        resumed = resume_search(space, make_surrogate(space),
-                                ckpt.round_trip(), SearchConfig(**CFG))
+        resumed = NasSearch(space, make_surrogate(space),
+                            SearchConfig(**CFG),
+                            resume_from=ckpt.round_trip()).run()
         assert resumed.fingerprint() == base.fingerprint()
 
     def test_unpreempted_preemptible_run_matches_baseline(self, space):
@@ -109,30 +111,42 @@ class TestPreemption:
 
 class TestCheckpointDurability:
     @pytest.fixture()
-    def ckpt(self, space):
-        cfg = SearchConfig(**CFG, checkpoint_interval=600.0)
+    def durable(self, space, tmp_path):
+        """A finished journaled run: config, last checkpoint, result."""
+        cfg = SearchConfig(**CFG, checkpoint_every_records=9,
+                           journal_dir=str(tmp_path / "journal"))
         search = NasSearch(space, make_surrogate(space), cfg,
                            event_sink=RecordingSink())
-        search.run()
+        full = search.run()
         assert search.checkpoints
-        return search.checkpoints[-1]
+        return cfg, search.checkpoints[-1], full
 
-    def test_save_leaves_no_tmp_residue(self, ckpt, tmp_path):
-        path = ckpt.save(tmp_path / "search.ckpt.json")
-        assert path.exists()
-        assert list(tmp_path.glob("*.tmp")) == []
-        loaded = SearchCheckpoint.load(path)
+    @pytest.fixture()
+    def ckpt(self, durable):
+        return durable[1]
+
+    def test_save_leaves_no_tmp_residue(self, space, durable):
+        cfg, ckpt, full = durable
+        gen_dir = Path(cfg.journal_dir) / GENERATIONS_DIR
+        assert list(gen_dir.glob("ckpt-*.json"))
+        assert list(gen_dir.glob("*.tmp")) == []
+        loaded, _ = CheckpointGenerations(gen_dir).load_latest()
         assert loaded.fingerprint() == ckpt.fingerprint()
+        resumed = resume_durable(space, make_surrogate(space), cfg).run()
+        assert resumed.fingerprint() == full.fingerprint()
 
-    def test_load_cleans_stale_tmp(self, ckpt, tmp_path):
+    def test_load_cleans_stale_tmp(self, space, durable):
         """The residue of a save torn by a crash is deleted, and the
-        published file — the durable truth — is what gets read."""
-        path = ckpt.save(tmp_path / "search.ckpt.json")
-        stale = path.with_suffix(path.suffix + ".tmp")
+        published generation — the durable truth — is what gets read."""
+        cfg, ckpt, full = durable
+        gen_dir = Path(cfg.journal_dir) / GENERATIONS_DIR
+        newest = sorted(gen_dir.glob("ckpt-*.json"))[-1]
+        stale = newest.with_name(
+            f"ckpt-{int(newest.stem[5:]) + 1:08d}.json.tmp")
         stale.write_text('{"torn": ')
-        loaded = SearchCheckpoint.load(path)
+        search = resume_durable(space, make_surrogate(space), cfg)
         assert not stale.exists()
-        assert loaded.fingerprint() == ckpt.fingerprint()
+        assert search.run().fingerprint() == full.fingerprint()
 
     def test_quarantine_survives_round_trip(self, ckpt):
         ckpt.quarantine = {0: [["combo_small", [1, 2, 3], 2, 1]],

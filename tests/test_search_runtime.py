@@ -23,7 +23,6 @@ from repro.rewards.base import EvalResult
 from repro.search import (EXCHANGE_STRATEGIES, A2CExchange, A3CExchange,
                           NasSearch, RandomExchange, SearchConfig,
                           build_exchange)
-from repro.search.runner import resume_search
 
 MAX_METHOD_LINES = 60
 
@@ -154,7 +153,7 @@ class TestCacheCounterRestore:
         assert (ev.cache.hits, ev.cache.misses) == (4, 6)
 
     def test_checkpoint_resume_restores_cache_tally(self, space):
-        cfg = small_config("a3c", checkpoint_interval=300.0)
+        cfg = small_config("a3c", checkpoint_every_records=12)
         search = NasSearch(space, make_surrogate(space), cfg)
         search.run()
         ckpt = search.checkpoints[1]
@@ -170,10 +169,11 @@ class TestCacheCounterRestore:
 
 
 class TestResumePublicSurface:
-    def test_resume_search_signature_unchanged(self, space):
-        cfg = small_config("a2c", checkpoint_interval=300.0)
+    def test_resume_from_signature_unchanged(self, space):
+        cfg = small_config("a2c", checkpoint_every_records=12)
         search = NasSearch(space, make_surrogate(space), cfg)
         full = search.run()
-        resumed = resume_search(space, make_surrogate(space),
-                                search.checkpoints[0].round_trip(), cfg)
+        resumed = NasSearch(space, make_surrogate(space), cfg,
+                            resume_from=search.checkpoints[0].round_trip()
+                            ).run()
         assert resumed.fingerprint() == full.fingerprint()

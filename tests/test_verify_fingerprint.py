@@ -10,7 +10,7 @@ from repro.nas.spaces import get_space
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
 from repro.rewards import SurrogateReward
 from repro.search import SearchConfig, run_search
-from repro.search.runner import NasSearch, resume_search
+from repro.search.runner import NasSearch
 from repro.verify.fingerprint import (agent_genesis, chain_step,
                                       param_digest, record_digest)
 
@@ -117,7 +117,7 @@ class TestResumeFingerprint:
     @pytest.mark.parametrize("method", ["a3c", "a2c", "rdm"])
     def test_resume_matches_uninterrupted(self, space, surrogate, method):
         cfg = config(method=method, minutes=30,
-                     checkpoint_interval=300.0)
+                     checkpoint_every_records=12)
         search = NasSearch(space, surrogate, cfg)
         full = search.run()
         assert len(search.checkpoints) >= 2
@@ -125,15 +125,16 @@ class TestResumeFingerprint:
         # resume from a genuine mid-run snapshot (agents in flight)
         mid = search.checkpoints[len(search.checkpoints) // 2]
         assert any(not a.done for a in mid.agents)
-        resumed = resume_search(space, surrogate, mid.round_trip(),
-                                config(method=method, minutes=30))
+        resumed = NasSearch(space, surrogate,
+                            config(method=method, minutes=30),
+                            resume_from=mid.round_trip()).run()
 
         assert full.fingerprint() == resumed.fingerprint()
         assert len(full.records) == len(resumed.records)
 
     def test_checkpoint_fingerprint_survives_round_trip(self, space,
                                                         surrogate):
-        cfg = config(minutes=30, checkpoint_interval=300.0)
+        cfg = config(minutes=30, checkpoint_every_records=12)
         search = NasSearch(space, surrogate, cfg)
         search.run()
         ckpt = search.checkpoints[len(search.checkpoints) // 2]

@@ -7,8 +7,10 @@ proposer module stays small enough to read in one sitting.  This gate
 enforces the same ≤60-line function budget as
 ``tests/test_search_runtime.py::TestRunnerShape`` but over *all* the
 seam modules, so a future method can't quietly grow a new monolith in
-``ambs.py`` or ``evolution.py`` either.  Docstrings don't count against
-the budget.  Run via ``make lint``.
+``ambs.py`` or ``evolution.py`` either.  The journal and checkpoint
+modules, which hold the one resume path (``resume_durable``), are held
+to the same budget.  Docstrings don't count against the budget.  Run
+via ``make lint``.
 
 Exit status: 0 when every function fits, 1 with an offender report.
 """
@@ -28,6 +30,8 @@ SEAM_MODULES = (
     "src/repro/search/ambs.py",
     "src/repro/search/evolution.py",
     "src/repro/search/methods.py",
+    "src/repro/search/journal.py",
+    "src/repro/search/checkpoint.py",
 )
 
 
