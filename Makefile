@@ -4,10 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast lint smoke chaos crashfuzz verify bench bench-quick bench-check bench-table
-
-## label recorded with each 'make bench' entry in BENCH_substrate.json
-BENCH_LABEL ?= dev
+.PHONY: test test-fast lint smoke chaos crashfuzz verify bench bench-table
 
 ## full tier-1 test suite
 test:
@@ -38,13 +35,19 @@ lint:
 		echo "lint: ruff not installed; skipped (cycle + compile checks ran)"; \
 	fi
 
-## substrate smoke check: lint gate + core NN/RL tests + one quick
-## benchmark pass + the bench regression gate over BENCH_substrate.json
-## + a bounded crash-point fuzzing pass (a3c/ambs/evolution on serial)
+## pre-merge smoke check: lint gate + tabular-benchmark smoke + core
+## NN/RL tests + the eager-vs-compiled differential pass (appended to
+## VERIFY_report.json) + the fault matrix and the numerical health-layer
+## profile + a one-second timing pass of the repo benchmark (exit 1 on a
+## failed benchmark check) + a bounded crash-point fuzzing pass
+## (a3c/ambs/evolution on serial)
 smoke: lint bench-table
-	$(PYTHON) -m repro.perf --help >/dev/null  # import sanity
-	$(PYTHON) -c "import sys; from repro.perf import smoke; sys.exit(smoke([]))"
-	$(PYTHON) tools/check_bench.py
+	$(PYTHON) -m pytest -q tests/test_nn_graph.py tests/test_nn_training.py \
+		tests/test_rl_ppo.py
+	$(PYTHON) -m repro.verify report --per-space 8 --output VERIFY_report.json
+	$(PYTHON) -m repro.search.chaos --profile faults --minutes 10 --tolerance 0.10
+	$(PYTHON) -m repro.search.chaos --profile numeric --minutes 40
+	$(PYTHON) e2ebench/run.py --workload sim --seed 1 --seconds 1
 	$(PYTHON) -m repro.search.chaos --profile crashpoint \
 		--methods a3c,ambs,evolution --backends serial --points 1
 
@@ -82,17 +85,7 @@ crashfuzz:
 	$(PYTHON) -m repro.search.chaos --profile crashpoint
 	$(PYTHON) -m pytest -q -m crashfuzz
 
-## record substrate baselines into BENCH_substrate.json (labeled entry),
-## then run the regression gate over the updated history
+## repro benchmark (e2ebench/README.md): every workload end to end plus
+## the traced per-layer run; exit 1 on a failed benchmark check
 bench:
-	$(PYTHON) benchmarks/bench_baseline.py --label "$(BENCH_LABEL)"
-	$(PYTHON) tools/check_bench.py
-
-## print timings without writing the JSON file
-bench-quick:
-	$(PYTHON) benchmarks/bench_baseline.py --quick --no-write
-
-## fail when the latest BENCH_substrate.json entry regresses any tracked
-## kernel by >15% vs. the best prior entry
-bench-check:
-	$(PYTHON) tools/check_bench.py
+	$(PYTHON) e2ebench/run.py --workload all --seed 1 --trace 1

@@ -12,8 +12,8 @@ paper attributes its results to:
 
 import numpy as np
 
-from harness import WALL_MINUTES, allocation, space_for, surrogate_for
 from repro.analytics import cache_hit_fraction, unique_architectures
+from repro.experiments import WALL_MINUTES, allocation, space_for, surrogate_for
 from repro.search import SearchConfig, run_search
 
 

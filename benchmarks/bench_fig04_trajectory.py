@@ -9,8 +9,8 @@ learning trend.
 import numpy as np
 import pytest
 
-from harness import print_trajectories, run_cached
 from repro.analytics import binned_mean_trajectory
+from repro.experiments import print_trajectories, run_cached
 
 METHODS = ("a3c", "a2c", "rdm")
 

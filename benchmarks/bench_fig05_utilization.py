@@ -9,7 +9,7 @@ architectures.
 
 import pytest
 
-from harness import print_utilizations, run_cached
+from repro.experiments import print_utilizations, run_cached
 
 METHODS = ("a3c", "a2c", "rdm")
 

@@ -8,7 +8,7 @@ the full convergence-stop seen on the small space.
 
 import numpy as np
 
-from harness import print_trajectories, print_utilizations, run_cached
+from repro.experiments import print_trajectories, print_utilizations, run_cached
 
 METHODS = ("a3c", "a2c", "rdm")
 

@@ -9,7 +9,7 @@ track the parameter reduction.
 
 import pytest
 
-from harness import post_train_top, print_posttrain, run_cached
+from repro.experiments import post_train_top, print_posttrain, run_cached
 
 
 @pytest.mark.parametrize("problem", ["combo", "uno", "nt3"])

@@ -10,7 +10,7 @@ dataset and accuracy drops relative to the small space.
 import numpy as np
 import pytest
 
-from harness import post_train_top, print_posttrain, run_cached
+from repro.experiments import post_train_top, print_posttrain, run_cached
 
 
 @pytest.mark.parametrize("problem", ["combo", "uno"])

@@ -9,7 +9,7 @@ evaluation idles more workers per round.
 
 import numpy as np
 
-from harness import print_utilizations, run_cached
+from repro.experiments import print_utilizations, run_cached
 
 CONFIGS = {
     "256": (256, "agents"),

@@ -8,8 +8,8 @@ reward while keeping small parameter counts.
 
 import numpy as np
 
-from harness import post_train_top, print_posttrain, run_cached
 from repro.analytics import unique_architectures
+from repro.experiments import post_train_top, print_posttrain, run_cached
 
 
 def bench_fig10(benchmark):

@@ -10,8 +10,8 @@ timeout.
 
 import numpy as np
 
-from harness import print_trajectories, run_cached
 from repro.analytics import binned_mean_trajectory
+from repro.experiments import print_trajectories, run_cached
 
 FRACTIONS = (0.1, 0.2, 0.3, 0.4)
 

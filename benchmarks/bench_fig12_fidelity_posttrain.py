@@ -8,8 +8,8 @@ trainable parameters (larger P_b/P) and shorter training times.
 
 import numpy as np
 
-from harness import TOP_K, run_cached
 from repro.analytics import top_k_architectures
+from repro.experiments import TOP_K, run_cached
 from repro.rewards import SurrogateReward
 
 FRACTIONS = (0.1, 0.2, 0.3, 0.4)

@@ -8,8 +8,8 @@ replications converge to similar reward levels.
 
 import numpy as np
 
-from harness import WALL_MINUTES, allocation, space_for, surrogate_for
 from repro.analytics import band_spread, quantile_bands
+from repro.experiments import WALL_MINUTES, allocation, space_for, surrogate_for
 from repro.search import SearchConfig, run_search
 
 N_REPLICATIONS = 10

@@ -14,7 +14,7 @@ better accuracy; the reduction factor is largest on NT3.
 
 import pytest
 
-from harness import post_train_top, run_cached, working_problem
+from repro.experiments import post_train_top, run_cached, working_problem
 from repro.hpc import TrainingCostModel
 
 PAPER_TABLE1 = {

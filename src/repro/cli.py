@@ -43,6 +43,7 @@ from .problems.uno import UNO_PAPER_SHAPES, uno_head
 from .events import JsonlSink
 from .rewards import SurrogateReward
 from .search import NasSearch, SEARCH_METHODS, SearchConfig, resume_durable
+from .search.journal import JournalInUseError
 
 __all__ = ["main"]
 
@@ -130,7 +131,13 @@ def _cmd_search(args) -> int:
             # evaluations are never re-executed
             search = resume_durable(space, reward, cfg, event_sink=sink)
         else:
-            search = NasSearch(space, reward, cfg, event_sink=sink)
+            try:
+                search = NasSearch(space, reward, cfg, event_sink=sink)
+            except JournalInUseError:
+                raise SystemExit(
+                    f"--journal-dir {cfg.journal_dir} already holds a run; "
+                    f"continue it with --resume-durable, or pass an empty "
+                    f"directory") from None
         if search.num_replay_loaded:
             print(f"resume: {search.num_replay_loaded} journaled "
                   f"evaluation(s) armed for replay")

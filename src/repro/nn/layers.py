@@ -51,11 +51,12 @@ def _tanh_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Sigmoid via the identity σ(x) = (tanh(x/2) + 1)/2 — numerically
+    stable for any magnitude, with no masked gather/scatter."""
+    out = np.multiply(x, 0.5)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 

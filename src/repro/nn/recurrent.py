@@ -22,23 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initializers import glorot_uniform, orthogonal
+from .layers import _sigmoid
 from .tensor import Parameter
 
 __all__ = ["LSTMCell", "LSTMStepCache", "FusedLSTM"]
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _sigmoid_(x: np.ndarray) -> np.ndarray:
-    """In-place sigmoid via the identity σ(x) = (tanh(x/2) + 1)/2 —
-    numerically stable for any magnitude and allocation-free."""
+    """In-place, allocation-free form of :func:`~repro.nn.layers._sigmoid`
+    (same tanh identity) for the fused step."""
     x *= 0.5
     np.tanh(x, out=x)
     x += 1.0

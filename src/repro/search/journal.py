@@ -52,8 +52,8 @@ from ..util.atomicio import FsyncPolicy, atomic_write_json
 from .checkpoint import SearchCheckpoint
 
 __all__ = ["JournalWriter", "JournalSink", "read_journal",
-           "CheckpointGenerations", "SearchJournal", "build_replay",
-           "resume_durable"]
+           "CheckpointGenerations", "SearchJournal", "JournalInUseError",
+           "build_replay", "resume_durable"]
 
 _log = logging.getLogger("repro.search.journal")
 
@@ -264,6 +264,11 @@ class CheckpointGenerations:
                              "generation (%s); falling back to the "
                              "previous one", path, exc)
         return None
+
+
+class JournalInUseError(ValueError):
+    """A fresh run was pointed at a journal directory that already holds
+    a run; continue that one with :func:`resume_durable` instead."""
 
 
 class SearchJournal:

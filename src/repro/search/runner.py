@@ -64,7 +64,7 @@ from .checkpoint import AgentBoundary, AgentCheckpoint, SearchCheckpoint
 from .methods import SEARCH_METHODS, build_exchange, build_proposer
 from .hooks import (BoundaryHook, HealthHook, HookStack, NumericFaultHook,
                     RecordCheckpointHook)
-from .journal import SearchJournal
+from .journal import JournalInUseError, SearchJournal
 from .loop import AgentLoop
 
 __all__ = ["NasSearch", "run_search"]
@@ -167,7 +167,7 @@ class NasSearch:
                 fsync_every=self.config.journal_fsync_every)
             if self.journal.writer.seq or self.journal.generations.paths():
                 self.journal.close()
-                raise ValueError(
+                raise JournalInUseError(
                     f"journal_dir {self.config.journal_dir!r} already "
                     f"holds a run; continue it with resume_durable, or "
                     f"start a fresh run in an empty directory")

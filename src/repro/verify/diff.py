@@ -267,8 +267,8 @@ def verify_report(per_space: int = 8, *, seed: int = 0,
 
 
 def write_verify_report(path: str | Path, report: dict) -> None:
-    """Append one timestamped report to a JSON file (list of runs),
-    mirroring the ``BENCH_substrate.json`` trend-tracking format."""
+    """Append one timestamped report to a JSON file (list of runs), so
+    ``VERIFY_report.json`` tracks agreement across commits."""
     path = Path(path)
     record = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),

@@ -55,6 +55,13 @@ class TestCommands:
         with pytest.raises(SystemExit, match="--journal-dir"):
             main(["search", "--preempt", "--minutes", "5"])
 
+    def test_fresh_run_into_used_journal_dir_exits_cleanly(self, tmp_path):
+        argv = ["search", "--backend", "serial", "--iterations", "1",
+                "--journal-dir", str(tmp_path / "journal")]
+        assert main(argv) == 0
+        with pytest.raises(SystemExit, match="--resume-durable"):
+            main(argv)
+
     def test_preempt_points_to_resume_durable(self, tmp_path, capsys,
                                               monkeypatch):
         class PreemptedAtStart(cli.NasSearch):

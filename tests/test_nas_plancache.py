@@ -3,8 +3,12 @@
 Covers the ISSUE 6 acceptance points: isomorphic architectures share one
 plan object, non-isomorphic ones do not, cached and fresh compilation
 are interchangeable (bit-identical search fingerprints), and cache state
-survives checkpoint/resume.
+survives checkpoint/resume.  The ``perf``-marked :class:`TestKernelPerf`
+adds one coarse wall-clock claim: a warm cache hit is far cheaper than a
+fresh compile.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -209,3 +213,36 @@ class TestSearchIntegration:
         assert surrogate.plan_cache is cache       # same warm cache
         assert len(cache) >= warm_entries
         assert resumed.fingerprint() == full.fingerprint()
+
+
+@pytest.mark.perf
+class TestKernelPerf:
+    """Coarse wall-clock claims with wide margins; tier ``perf`` keeps
+    them out of the fast inner loop on noisy machines."""
+
+    @staticmethod
+    def _best_ms(fn, repeats=20):
+        fn()
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+        return best * 1e3
+
+    def test_plan_cache_hit_much_faster_than_compile(self):
+        space = combo_small()
+        head = combo_head()
+        cache = PlanCache()
+        rng = np.random.default_rng(0)
+        archs = [space.random_architecture(rng) for _ in range(20)]
+        for a in archs:
+            cache.get_or_compile(space, a.choices, COMBO_PAPER_SHAPES, head)
+
+        cold = self._best_ms(lambda: [
+            compile_architecture(space, a.choices, COMBO_PAPER_SHAPES, head)
+            for a in archs])
+        warm = self._best_ms(lambda: [
+            cache.get_or_compile(space, a.choices, COMBO_PAPER_SHAPES, head)
+            for a in archs])
+        assert warm * 5 < cold     # measured ~40x; 5x is the safety floor
