@@ -59,9 +59,9 @@ smoke: lint bench-table
 bench-table:
 	rm -rf .bench_table
 	$(PYTHON) -m repro.bench sweep --problem combo --cap-ops 2 --cap 128 \
-		--out .bench_table --backend thread --workers 2 --shard-size 64
+		--out .bench_table --backend process --workers 2 --shard-size 64
 	$(PYTHON) -m repro.bench sweep --problem combo --cap-ops 2 --cap 128 \
-		--out .bench_table --backend thread --workers 2 --shard-size 64
+		--out .bench_table --backend process --workers 2 --shard-size 64
 	$(PYTHON) -m repro.bench info .bench_table
 	$(PYTHON) -m repro.bench compare .bench_table \
 		--methods a3c,rdm,ambs,evolution --runs 2 --minutes 10 \

@@ -24,6 +24,7 @@ import json
 import sys
 
 from ..analytics.regret import compare_report, regret_summary
+from ..evaluator import HOST_BACKENDS
 from ..hpc import NodeAllocation, TrainingCostModel
 from ..nas.plancache import SignatureResolver
 from ..nas.spaces import get_space
@@ -195,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stratified-sample this many architectures when "
                         "the space exceeds the cap (default: exhaustive)")
     p.add_argument("--out", required=True, help="table directory")
-    p.add_argument("--backend", choices=("serial", "thread", "process"),
-                   default="serial")
+    p.add_argument("--backend", choices=HOST_BACKENDS, default="serial")
     p.add_argument("--workers", type=int, default=2)
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--shard-size", type=int, default=256)

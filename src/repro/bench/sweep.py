@@ -3,8 +3,8 @@
 The sweeper turns a search space plus a reward model into a benchmark
 table: it walks :func:`~repro.bench.subspace.enumerate_space`'s
 deterministic stream, fans evaluations out through the existing
-:class:`~repro.evaluator.broker.EvalBroker` machinery (serial, thread
-pool, or the supervised multi-process pool), and appends one row per
+:class:`~repro.evaluator.broker.EvalBroker` machinery (serial or the
+supervised multi-process pool), and appends one row per
 isomorphism class to a crash-consistent
 :class:`~repro.bench.table.TableWriter`.
 
@@ -22,7 +22,7 @@ Design points:
   not rows of the benchmark, and :class:`~repro.rewards.tabular.
   TabularReward` maps them to ``FAILURE_REWARD`` without a lookup;
 * **batched dispatch with a barrier per batch** — completion order
-  inside a batch is backend-dependent (thread/process), but rows are
+  inside a batch is backend-dependent (process), but rows are
   written in *submission* order from the batch's result map, so the
   shard stream — and therefore the table fingerprint — is identical
   across backends.
@@ -33,9 +33,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from ..evaluator import HOST_BACKENDS
 from ..evaluator.process import ProcConfig, ProcessEvaluator
 from ..evaluator.serial import SerialEvaluator
-from ..evaluator.thread import ThreadEvaluator
 from ..nas.plancache import PlanCache, SignatureResolver, exact_key
 from ..nas.space import Structure
 from ..rewards.base import RewardModel
@@ -45,16 +45,13 @@ from .table import ArchTable, TableRow, TableWriter
 __all__ = ["SweepConfig", "SweepReport", "SpaceSweeper", "sweep_space",
            "planned_evaluations"]
 
-_BACKENDS = ("serial", "thread", "process")
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """How a sweep enumerates and evaluates."""
 
-    #: evaluation backend: "serial" | "thread" | "process"
+    #: evaluation backend, one of :data:`repro.evaluator.HOST_BACKENDS`
     backend: str = "serial"
-    #: worker threads / processes for the parallel backends
+    #: worker processes of the "process" backend
     workers: int = 2
     #: architectures submitted per broker batch (barrier per batch)
     batch_size: int = 16
@@ -75,8 +72,9 @@ class SweepConfig:
     throttle: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
+        if self.backend not in HOST_BACKENDS:
+            raise ValueError(f"unknown backend {self.backend!r}; choose "
+                             f"from {', '.join(HOST_BACKENDS)}")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if self.workers <= 0:
@@ -125,9 +123,6 @@ class SpaceSweeper:
         if cfg.backend == "serial":
             return SerialEvaluator(self.reward_model, cfg.agent_seed,
                                    use_cache=False)
-        if cfg.backend == "thread":
-            return ThreadEvaluator(self.reward_model, cfg.agent_seed,
-                                   max_workers=cfg.workers, use_cache=False)
         proc = cfg.proc or ProcConfig(workers=cfg.workers)
         return ProcessEvaluator(self.reward_model, cfg.agent_seed,
                                 config=proc, use_cache=False)

@@ -32,6 +32,7 @@ from .analytics import (best_so_far_trajectory, cache_hit_fraction,
                         time_to_reward, top_k_architectures,
                         unique_architectures)
 from .analytics.io import load_records, save_records
+from .evaluator import BACKENDS
 from .health import GuardConfig
 from .hpc import NodeAllocation, TrainingCostModel
 from .nas.spaces import SPACES, get_space
@@ -341,13 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-restarts", type=int, default=0,
                    help="resurrect a crashed agent from its last "
                         "iteration boundary up to this many times")
-    p.add_argument("--backend",
-                   choices=("balsam", "serial", "thread", "process"),
-                   default="balsam",
+    p.add_argument("--backend", choices=BACKENDS, default="balsam",
                    help="evaluation backend: balsam = simulated service "
-                        "(default); serial/thread/process run the reward "
-                        "model in host time (process = supervised worker "
-                        "pool) and require --iterations")
+                        "(default); serial/process run the reward model "
+                        "in host time (process = supervised worker pool) "
+                        "and require --iterations")
     p.add_argument("--iterations", type=int,
                    help="stop every agent after this many iterations "
                         "(required for non-balsam backends)")

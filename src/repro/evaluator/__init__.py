@@ -6,9 +6,15 @@ from .broker import EvalBackend, EvalBroker, RewardModelBackend
 from .cache import EvalCache
 from .process import ProcConfig, ProcessEvaluator
 from .serial import SerialEvaluator
-from .thread import ThreadEvaluator
 
-__all__ = ['BalsamEvaluator', 'BalsamJob', 'BalsamService', 'EvalBackend',
-           'EvalBroker', 'EvalCache', 'EvalRecord', 'Evaluator',
-           'ProcConfig', 'ProcessEvaluator', 'RewardModelBackend',
-           'SerialEvaluator', 'ThreadEvaluator']
+#: every evaluation backend a search accepts: the simulated Balsam
+#: service (virtual time) and the two in-host backends
+BACKENDS = ("balsam", "serial", "process")
+#: the backends that run the reward model in host time (the only ones a
+#: space sweep can use)
+HOST_BACKENDS = tuple(b for b in BACKENDS if b != "balsam")
+
+__all__ = ['BACKENDS', 'BalsamEvaluator', 'BalsamJob', 'BalsamService',
+           'EvalBackend', 'EvalBroker', 'EvalCache', 'EvalRecord',
+           'Evaluator', 'HOST_BACKENDS', 'ProcConfig', 'ProcessEvaluator',
+           'RewardModelBackend', 'SerialEvaluator']

@@ -212,9 +212,10 @@ class BalsamEvaluator(EvalBroker):
     job can never hang the agent.  ``None`` (default) waits forever,
     which is safe whenever a fault-free service is used.
 
-    All cache / counter / failure bookkeeping lives in
+    All admission / cache / counter / failure bookkeeping lives in
     :class:`~repro.evaluator.broker.EvalBroker` (with the simulator as
-    its clock); this class only owns job submission and the
+    its clock; no journal replay is ever loaded here, so its replay
+    check never fires); this class only owns job submission and the
     finisher/watchdog processes.
     """
 
@@ -234,19 +235,10 @@ class BalsamEvaluator(EvalBroker):
 
     def add_eval_batch(self, archs: list[Architecture]) -> Event:
         sim = self.service.sim
-        self._begin_batch(archs)
         jobs: list[BalsamJob] = []
-        all_cached = True
-        for arch in archs:
-            self.num_submitted += 1
-            if self._cache_hit(arch, sim.now):
-                continue
-            all_cached = False
+        for arch, _submit in self._admit(archs):
             result = self.backend.execute(arch)
             jobs.append(self.service.submit(self.agent_id, arch, result))
-        # NOTE: an *empty* batch is reported as not-all-cached — absence
-        # of submissions is no evidence of cache convergence
-        self.last_batch_all_cached = all_cached and bool(archs)
 
         batch_done = sim.event()
         if not jobs:

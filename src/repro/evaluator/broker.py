@@ -7,9 +7,11 @@ agent-local :class:`~repro.evaluator.cache.EvalCache`, cache-hit
 short-circuiting, submission/hit/failure counters, failure-reward
 conversion, the finished-record queue, and the wait/shutdown lifecycle.
 Backends shrink to a pure ``execute(arch) -> EvalResult`` surface
-(:class:`EvalBackend`) plus a dispatch policy — serial, thread pool, or
-the simulated Balsam service — and can no longer drift apart on the
-shared bookkeeping they used to each reimplement.
+(:class:`EvalBackend`) plus a dispatch policy — inline, the supervised
+process pool, or the simulated Balsam service — and can no longer
+drift apart on the shared bookkeeping they used to each reimplement.
+The admission sequence (submit stamp, submission count, journal replay,
+cache) is written once, in :meth:`EvalBroker._admit`.
 
 The broker also emits the structured event stream (``submit``,
 ``batch-stats``, ``cache-hit``, ``eval-done``) to an optional
@@ -91,10 +93,11 @@ class RewardModelBackend(EvalBackend):
 class EvalBroker(Evaluator):
     """Shared front-end machinery for every evaluator backend.
 
-    Subclasses implement ``add_eval_batch`` in terms of the protected
-    helpers — ``_cache_hit`` / ``_complete`` / ``_fail`` — and may
-    override ``_poll`` to pump pending completions before a drain.
-    Everything the search loop observes (counters, record order,
+    Subclasses implement ``add_eval_batch`` as a loop over
+    :meth:`_admit`, dispatching each architecture it yields, and report
+    outcomes through ``_complete`` / ``_fail``; they may override
+    ``_poll`` to pump pending completions before a drain.  Everything
+    the search loop observes (counters, record order,
     ``last_batch_all_cached``, checkpoint restore) is defined here,
     once.
     """
@@ -143,6 +146,36 @@ class EvalBroker(Evaluator):
              plan_hits=after["hits"] - before["hits"],
              plan_misses=after["misses"] - before["misses"],
              iso_hits=after["iso_hits"] - before["iso_hits"])
+
+    def _admit(self, archs: list[Architecture]):
+        """The admission sequence every backend shares; yields
+        ``(arch, submit_time)`` for each architecture to dispatch.
+
+        Per architecture: stamp the submit time, count the submission,
+        then answer it from the journal replay (checked *before* the
+        cache, see :meth:`_replay_hit`) or the cache if either can.
+        Only the rest is yielded.  The generator is lazy, so a backend
+        that completes a dispatch inside its loop body (serial) has
+        cached that result before the next architecture is admitted —
+        a repeat within one batch is then a cache hit, exactly as if it
+        came in a later batch.  ``last_batch_all_cached`` is set once
+        the batch is exhausted.
+        """
+        self._begin_batch(archs)
+        all_cached = True
+        for arch in archs:
+            submit = self.clock()
+            self.num_submitted += 1
+            if self._replay_hit(arch, submit):
+                all_cached = False
+                continue
+            if self._cache_hit(arch, submit):
+                continue
+            all_cached = False
+            yield arch, submit
+        # an *empty* batch is not all-cached: absence of submissions is
+        # no evidence of cache convergence
+        self.last_batch_all_cached = all_cached and bool(archs)
 
     def _cache_hit(self, arch: Architecture, submit_time: float) -> bool:
         """Cache short-circuit: on a hit, record + count + emit.

@@ -30,12 +30,12 @@ pool is *supervised*:
 
 Supervision emits typed :mod:`repro.events` records (``worker-spawn``,
 ``worker-crash``, ``worker-respawn``, ``worker-timeout``,
-``quarantine``), and all cache / counter / failure bookkeeping lives in
-:class:`~repro.evaluator.broker.EvalBroker`, so the backend is drop-in
-interchangeable with serial/thread/Balsam behind the same front-end: in
-deterministic mode (no faults, generous deadlines) its rewards — and
-therefore search fingerprints — are bit-identical to the serial
-backend's, because retries re-run the same pure
+``quarantine``), and all admission / cache / counter / failure
+bookkeeping lives in :class:`~repro.evaluator.broker.EvalBroker`, so the
+backend is drop-in interchangeable with serial/Balsam behind the same
+front-end: in deterministic mode (no faults, generous deadlines) its
+rewards — and therefore search fingerprints — are bit-identical to the
+serial backend's, because retries re-run the same pure
 ``reward_model.evaluate(arch, agent_seed)`` call.
 
 Supervision timing always uses ``time.monotonic`` regardless of the
@@ -285,20 +285,10 @@ class ProcessEvaluator(EvalBroker):
 
     # -- submission ----------------------------------------------------
     def add_eval_batch(self, archs: list[Architecture]) -> None:
-        self._begin_batch(archs)
-        all_cached = True
-        for arch in archs:
-            submit = self.clock()
-            self.num_submitted += 1
-            # replay outranks quarantine: a journaled completion — even
-            # a journaled failure of a quarantined poison arch — is
-            # re-served as recorded, never re-dispatched to the pool
-            if self._replay_hit(arch, submit):
-                all_cached = False
-                continue
-            if self._cache_hit(arch, submit):
-                continue
-            all_cached = False
+        # the broker's replay check outranks quarantine: a journaled
+        # completion — even a journaled failure of a quarantined poison
+        # arch — is re-served as recorded, never re-dispatched
+        for arch, submit in self._admit(archs):
             if arch.key in self.quarantined:
                 # known poison: failure reward without touching the pool
                 self.quarantined[arch.key]["resubmits"] += 1
@@ -308,7 +298,6 @@ class ProcessEvaluator(EvalBroker):
             self._next_job_id += 1
             self._jobs[job.job_id] = job
             self._pending.append(job)
-        self.last_batch_all_cached = all_cached and bool(archs)
         self._pump(0.0)
 
     # -- polling / lifecycle -------------------------------------------

@@ -5,7 +5,7 @@ Evaluations run immediately and synchronously on ``add_eval_batch``;
 examples and by real-training searches, where the reward model's
 duration is genuine wall time.
 
-All cache / counter / failure bookkeeping lives in
+All admission / cache / counter / failure bookkeeping lives in
 :class:`~repro.evaluator.broker.EvalBroker`; this class is only the
 dispatch policy (run it now, inline).  A reward-model exception becomes
 a ``FAILURE_REWARD`` record — the same conversion every other backend
@@ -34,17 +34,7 @@ class SerialEvaluator(EvalBroker):
         self.backend = RewardModelBackend(reward_model, agent_id)
 
     def add_eval_batch(self, archs: list[Architecture]) -> None:
-        self._begin_batch(archs)
-        all_cached = True
-        for arch in archs:
-            submit = self.clock()
-            self.num_submitted += 1
-            if self._replay_hit(arch, submit):
-                all_cached = False
-                continue
-            if self._cache_hit(arch, submit):
-                continue
-            all_cached = False
+        for arch, submit in self._admit(archs):
             try:
                 result = self.backend.execute(arch)
             except Exception:   # noqa: BLE001 — surfaced as failure record
@@ -52,4 +42,3 @@ class SerialEvaluator(EvalBroker):
                            submit, submit, self.clock())
                 continue
             self._complete(arch, result, submit, submit, self.clock())
-        self.last_batch_all_cached = all_cached and bool(archs)

@@ -83,7 +83,7 @@ class SearchEvent:
     """One timestamped record of the search-event stream.
 
     ``time`` is the emitting layer's clock — virtual seconds for the
-    simulated Balsam stack, wall seconds for serial/thread backends.
+    simulated Balsam stack, wall seconds for the in-host backends.
     ``payload`` carries kind-specific detail (reward, round number,
     anomaly kind, ...); it is deliberately a plain dict so new layers
     can annotate events without schema churn.

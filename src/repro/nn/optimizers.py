@@ -1,19 +1,20 @@
 """Gradient-descent optimizers.
 
 Adam uses the same defaults as the paper's experiments (learning rate
-0.001), for both reward estimation and post-training.  Two families are
+0.001), for both reward estimation and post-training.  Two forms are
 provided:
 
-* :class:`SGD`/:class:`Adam` — operate on lists of
+* :class:`FlatAdam` — the one the trainer uses: fused over a
+  :class:`~repro.nn.engine.FlatParameterVector`, so the whole model
+  updates with a handful of whole-vector vectorized ops instead of a
+  Python loop over parameters.
+* :class:`Adam` — the per-parameter reference over lists of
   :class:`~repro.nn.tensor.Parameter` objects, moment state keyed by
-  parameter identity so shared (mirrored) parameters are updated once per
-  step even though they appear in multiple layers.
-* :class:`FlatSGD`/:class:`FlatAdam` — fused variants over a
-  :class:`~repro.nn.engine.FlatParameterVector`: the whole model updates
-  with a handful of whole-vector vectorized ops instead of a Python loop
-  over parameters.  Elementwise the math is identical to the per-parameter
-  classes (same ops in the same order per element), so results are
-  bit-identical at equal dtype.
+  parameter identity so shared (mirrored) parameters are updated once
+  per step even though they appear in multiple layers.  Elementwise the
+  math is identical to :class:`FlatAdam` (same ops in the same order per
+  element), so results are bit-identical at equal dtype; the tests hold
+  the fused form to it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import numpy as np
 from .engine import FlatParameterVector
 from .tensor import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "FlatOptimizer", "FlatSGD",
-           "FlatAdam", "get_optimizer", "clip_global_norm"]
+__all__ = ["Optimizer", "Adam", "FlatAdam", "clip_global_norm"]
 
 
 def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
@@ -51,29 +51,6 @@ class Optimizer:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: list[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0) -> None:
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = {id(p): np.zeros_like(p.value) for p in self.params}
-
-    def step(self) -> None:
-        for p in self.params:
-            if self.momentum:
-                v = self._velocity[id(p)]
-                v *= self.momentum
-                v -= self.lr * p.grad
-                p.value += v
-            else:
-                p.value -= self.lr * p.grad
 
 
 class Adam(Optimizer):
@@ -107,55 +84,20 @@ class Adam(Optimizer):
             p.value -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
 
-class FlatOptimizer:
-    """Base for fused optimizers over one contiguous parameter vector.
+class FlatAdam:
+    """Fused Adam: whole-vector moments, bit-identical to :class:`Adam`.
 
     Accepts either a prepared :class:`FlatParameterVector` (e.g. from
     :meth:`GraphModel.flatten_parameters`) or a plain parameter list,
     which is packed (deduplicated by identity) on the spot.
     """
 
-    def __init__(self, params) -> None:
+    def __init__(self, params, lr: float = 0.001, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8) -> None:
         if isinstance(params, FlatParameterVector):
             self.flat = params
         else:
             self.flat = FlatParameterVector(list(params))
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-    def zero_grad(self) -> None:
-        self.flat.zero_grad()
-
-
-class FlatSGD(FlatOptimizer):
-    """Fused SGD: the whole model steps as one vector op."""
-
-    def __init__(self, params, lr: float = 0.01, momentum: float = 0.0) -> None:
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = np.zeros_like(self.flat.values)
-
-    def step(self) -> None:
-        g = self.flat.grads
-        if self.momentum:
-            v = self._velocity
-            v *= self.momentum
-            v -= self.lr * g
-            self.flat.values += v
-        else:
-            self.flat.values -= self.lr * g
-
-
-class FlatAdam(FlatOptimizer):
-    """Fused Adam: whole-vector moments, bit-identical to :class:`Adam`."""
-
-    def __init__(self, params, lr: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8) -> None:
-        super().__init__(params)
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.lr = lr
@@ -178,6 +120,9 @@ class FlatAdam(FlatOptimizer):
         v += (1.0 - self.beta2) * g * g
         self.flat.values -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
+    def zero_grad(self) -> None:
+        self.flat.zero_grad()
+
     # -- checkpoint support -------------------------------------------
     def export_state(self) -> dict:
         """Copy of the moment state (search checkpoints must restore it:
@@ -188,17 +133,3 @@ class FlatAdam(FlatOptimizer):
         self.t = int(state["t"])
         self._m[:] = np.asarray(state["m"], dtype=self._m.dtype)
         self._v[:] = np.asarray(state["v"], dtype=self._v.dtype)
-
-
-_OPTIMIZERS = {"sgd": SGD, "adam": Adam, "flat_sgd": FlatSGD,
-               "flat_adam": FlatAdam}
-
-
-def get_optimizer(name: str, params, **kwargs):
-    """Look up an optimizer by name (``sgd``/``adam``/``flat_sgd``/``flat_adam``)."""
-    try:
-        cls = _OPTIMIZERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown optimizer {name!r}; choose from {sorted(_OPTIMIZERS)}") from None
-    return cls(params, **kwargs)

@@ -10,7 +10,7 @@ is testable without waiting.
 Hot-path notes: the shuffled epoch subset is gathered into contiguous
 arrays **once per epoch** (paying any dtype cast at the same time), so
 each batch is a zero-copy slice instead of a per-batch fancy-index copy;
-and the default optimizer is the fused :class:`~repro.nn.optimizers.FlatAdam`
+and the optimizer is the fused :class:`~repro.nn.optimizers.FlatAdam`
 over the model's packed parameter vector.
 """
 
@@ -27,7 +27,7 @@ from ..health.guards import (GuardConfig, LossSpikeDetector, NumericalAnomaly,
 from .graph import GraphModel
 from .losses import Loss, get_loss
 from .metrics import get_metric
-from .optimizers import FlatAdam, Optimizer
+from .optimizers import FlatAdam
 
 __all__ = ["History", "Trainer", "train_model"]
 
@@ -108,10 +108,9 @@ class Trainer:
     def fit(self, model: GraphModel,
             x_train: dict[str, np.ndarray], y_train: np.ndarray,
             x_val: dict[str, np.ndarray] | None = None,
-            y_val: np.ndarray | None = None,
-            optimizer: Optimizer | None = None) -> History:
+            y_val: np.ndarray | None = None) -> History:
         rng = np.random.default_rng(self.seed)
-        opt = optimizer or FlatAdam(model.flatten_parameters(), lr=self.lr)
+        opt = FlatAdam(model.flatten_parameters(), lr=self.lr)
         dt = model.dtype
         n = len(y_train)
         n_used = max(1, int(round(n * self.train_fraction)))
@@ -120,14 +119,13 @@ class Trainer:
         subset = rng.permutation(n)[:n_used]
 
         guarded = self.guard is not None and self.guard.enabled
-        spike = flat = None
+        spike = None
         plan = model._plan
         prev_check = plan.check_finite if plan is not None else False
         if guarded:
             spike = LossSpikeDetector(self.guard.loss_spike_zscore,
                                       self.guard.loss_ewma_alpha,
                                       self.guard.loss_warmup)
-            flat = getattr(opt, "flat", None)
             if plan is not None:
                 plan.check_finite = True
 
@@ -154,14 +152,12 @@ class Trainer:
                                 "nonfinite", "loss", f"loss={loss_val!r}")
                         model.zero_grad()
                         model.backward(self.loss.grad(pred, yb))
-                        if guarded and flat is not None \
-                                and not all_finite(flat.grads):
+                        if guarded and not all_finite(opt.flat.grads):
                             raise NumericalAnomaly(
                                 "nonfinite", "gradients",
                                 "non-finite parameter gradients")
                         opt.step()
-                        if guarded and flat is not None \
-                                and not all_finite(flat.values):
+                        if guarded and not all_finite(opt.flat.values):
                             raise NumericalAnomaly(
                                 "nonfinite", "parameters",
                                 "non-finite parameters after step")

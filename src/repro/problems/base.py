@@ -67,21 +67,23 @@ class Problem:
         With ``paper_scale=True`` the count uses the paper's input
         dimensions and must reproduce Table 1 exactly for Combo and Uno.
         """
-        shapes = self.paper_input_shapes if paper_scale else self.input_shapes
-        baseline = self.paper_scale_baseline() if paper_scale else self.baseline
-        head = self.paper_scale_head() if paper_scale else self.head_ops
-        return count_parameters(baseline, (), shapes, head)
+        if not paper_scale:
+            return count_parameters(self.baseline, (), self.input_shapes,
+                                    self.head_ops)
+        baseline = (self.baseline if self.paper_scale_baseline is None
+                    else self.paper_scale_baseline())
+        head = (self.head_ops if self.paper_scale_head is None
+                else self.paper_scale_head())
+        return count_parameters(baseline, (), self.paper_input_shapes, head)
 
-    # Subclass hooks (the per-benchmark modules bind these via factory
-    # closures; defaults fall back to the working-scale definitions).
-    paper_scale_baseline: Callable[[], Structure] = None  # type: ignore[assignment]
-    paper_scale_head: Callable[[], list[Operation]] = None  # type: ignore[assignment]
+    # Paper-scale hooks (the per-benchmark factories bind module-level
+    # functions or ``functools.partial`` objects, so a problem — and a
+    # reward model holding it — pickles into worker processes; None
+    # falls back to the working-scale definitions).
+    paper_scale_baseline: Callable[[], Structure] | None = None
+    paper_scale_head: Callable[[], list[Operation]] | None = None
 
     def __post_init__(self) -> None:
-        if self.paper_scale_baseline is None:
-            self.paper_scale_baseline = lambda: self.baseline
-        if self.paper_scale_head is None:
-            self.paper_scale_head = lambda: self.head_ops
         missing = set(self.space.inputs) - set(self.input_shapes)
         if missing:
             raise ValueError(

@@ -10,6 +10,8 @@ dimensions this baseline has exactly **13,772,001** trainable parameters
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..nas.nodes import ConstantNode, MirrorNode
 from ..nas.ops import DenseOp, Operation
 from ..nas.space import Block, Cell, Structure
@@ -81,6 +83,6 @@ def combo_problem(scale: float = 0.04, large: bool = False,
         metric="r2",
         batch_size=batch_size,
         paper_input_shapes=COMBO_PAPER_SHAPES,
-        paper_scale_baseline=lambda: combo_baseline(1000),
+        paper_scale_baseline=partial(combo_baseline, 1000),
         paper_scale_head=combo_head,
     )

@@ -13,6 +13,8 @@ records the discrepancy.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..nas.nodes import ConstantNode
 from ..nas.ops import (Conv1DOp, DenseOp, DropoutOp, MaxPooling1DOp,
                        Operation)
@@ -77,6 +79,6 @@ def nt3_problem(scale: float = 0.1, length: int = 180,
         metric="accuracy",
         batch_size=batch_size,
         paper_input_shapes=NT3_PAPER_SHAPES,
-        paper_scale_baseline=lambda: nt3_baseline(128, 1.0),
+        paper_scale_baseline=partial(nt3_baseline, 128, 1.0),
         paper_scale_head=nt3_head,
     )

@@ -9,6 +9,8 @@ this is exactly **19,274,001** trainable parameters (Table 1).
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..nas.nodes import ConstantNode
 from ..nas.ops import DenseOp, IdentityOp, Operation
 from ..nas.space import Block, Cell, Structure
@@ -78,6 +80,6 @@ def uno_problem(scale: float = 0.04, large: bool = False,
         metric="r2",
         batch_size=batch_size,
         paper_input_shapes=UNO_PAPER_SHAPES,
-        paper_scale_baseline=lambda: uno_baseline(1000),
+        paper_scale_baseline=partial(uno_baseline, 1000),
         paper_scale_head=uno_head,
     )

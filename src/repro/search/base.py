@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..evaluator import BACKENDS, ProcConfig
 from ..health.guards import GuardConfig
 from ..hpc.cluster import Cluster, NodeAllocation
 from ..hpc.faults import FaultConfig
 from ..nas.arch import Architecture
-
-if TYPE_CHECKING:   # annotation only — no runtime evaluator dependency
-    from ..evaluator.process import ProcConfig
 
 __all__ = ["SearchConfig", "RewardRecord", "SearchResult"]
 
@@ -43,9 +40,6 @@ class SearchConfig:
     lr: float = 6e-3
     entropy_coef: float = 0.002
     seed: int = 0
-    #: identical policy init across agents (§3.2: "all N agents start
-    #: with the same policy network")
-    shared_policy_init: bool = True
     #: consecutive all-cache-hit iterations (per agent) before an agent
     #: declares convergence; the search stops when all agents have
     #: (§5.1: the search "could not proceed in a meaningful way")
@@ -89,14 +83,15 @@ class SearchConfig:
     #: iteration boundary up to this many times per agent (0 = crashed
     #: agents stay down, the pre-health behaviour)
     max_restarts: int = 0
-    #: evaluation backend: "balsam" (simulated service over the virtual
-    #: cluster, the default), or one of the real in-host backends —
-    #: "serial", "thread", "process" (supervised worker pool,
-    #: :mod:`repro.evaluator.process`).  Real backends complete batches
-    #: in zero *virtual* time, so they require ``max_iterations``
+    #: evaluation backend, one of :data:`repro.evaluator.BACKENDS`:
+    #: "balsam" (simulated service over the virtual cluster, the
+    #: default), or one of the real in-host backends — "serial",
+    #: "process" (supervised worker pool, :mod:`repro.evaluator.process`).
+    #: Real backends complete batches in zero *virtual* time, so they
+    #: require ``max_iterations``
     backend: str = "balsam"
     #: supervision policy of the "process" backend (None = defaults)
-    proc: "ProcConfig | None" = None
+    proc: ProcConfig | None = None
     #: stop every agent after this many iterations (required for real
     #: backends, where virtual wall time never advances; optional for
     #: balsam)
@@ -139,8 +134,9 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be non-negative")
-        if self.backend not in ("balsam", "serial", "thread", "process"):
-            raise ValueError(f"unknown backend {self.backend!r}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"unknown backend {self.backend!r}; choose "
+                             f"from {', '.join(BACKENDS)}")
         if self.backend != "balsam" and self.max_iterations is None:
             raise ValueError(
                 f"backend {self.backend!r} runs in real time, where the "

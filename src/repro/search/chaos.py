@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..events import EVAL_DONE
+from ..evaluator import HOST_BACKENDS
 from ..health import GuardConfig
 from ..hpc import NodeAllocation, TrainingCostModel
 from ..hpc.faults import FaultConfig
@@ -534,8 +535,7 @@ def _spawn_and_kill_at(journal_dir, k: int, method: str, backend: str,
 
 def crashpoint_matrix(seed: int = 3, iterations: int = 4, points: int = 3,
                       methods: tuple[str, ...] = ("a3c", "a2c", "rdm"),
-                      backends: tuple[str, ...] = ("serial", "thread",
-                                                   "process"),
+                      backends: tuple[str, ...] = HOST_BACKENDS,
                       throttle: float = 0.05) -> list[dict]:
     """SIGKILL-anywhere fuzzing of the write-ahead journal: one row per
     (method, backend) cell.
@@ -666,10 +666,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--methods", default="a3c,a2c,rdm",
                         help="comma-separated methods for the crashpoint "
                              "profile (default a3c,a2c,rdm)")
-    parser.add_argument("--backends", default="serial,thread,process",
+    parser.add_argument("--backends", default=",".join(HOST_BACKENDS),
                         help="comma-separated backends for the "
-                             "crashpoint profile "
-                             "(default serial,thread,process)")
+                             "crashpoint profile (default "
+                             f"{','.join(HOST_BACKENDS)})")
     args = parser.parse_args(argv)
 
     problems: list[str] = []

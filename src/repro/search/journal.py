@@ -373,8 +373,8 @@ def resume_durable(space, reward_model, config, event_sink=None):
     the suffix.  The same call is therefore both the first launch and
     every relaunch — exactly what a crash-looped batch script needs.
 
-    Evaluation replay applies to the real backends (serial / thread /
-    process), where re-executing a reward model costs real time; the
+    Evaluation replay applies to the real backends (serial / process),
+    where re-executing a reward model costs real time; the
     balsam backend's virtual-time evaluations resume from the
     checkpoint alone.
     """

@@ -127,7 +127,7 @@ class AgentLoop:
         archs = [self.space.decode(row) for row in actions]
         batch_done = self.evaluator.add_eval_batch(archs)
         if batch_done is None:
-            # real backend (serial/thread/process): completion is a
+            # real backend (serial/process): completion is a
             # blocking wait in host time, then a zero-length sim step so
             # the kernel sees a yield (it rejects bare None) and the
             # scheduler keeps interleaving agents at this boundary

@@ -48,7 +48,6 @@ import numpy as np
 from ..evaluator.balsam import BalsamEvaluator, BalsamService
 from ..evaluator.process import ProcessEvaluator
 from ..evaluator.serial import SerialEvaluator
-from ..evaluator.thread import ThreadEvaluator
 from ..events import (AGENT_DONE, CHECKPOINT, CRASH, PREEMPT, RESTART,
                       EventSink, TeeSink, emit)
 from ..hpc.cluster import Cluster
@@ -188,7 +187,7 @@ class NasSearch:
         """One agent's evaluator on the configured backend.
 
         The default "balsam" backend runs over the simulated service;
-        the real backends (serial / thread / process) execute the reward
+        the real backends (serial / process) execute the reward
         model in host time.  All report record timestamps on the
         simulator clock so the event stream stays on one timeline.
         """
@@ -203,11 +202,6 @@ class NasSearch:
             return SerialEvaluator(self.reward_model, agent_id,
                                    use_cache=cfg.use_cache, clock=clock,
                                    sink=self.sink)
-        if cfg.backend == "thread":
-            return ThreadEvaluator(
-                self.reward_model, agent_id,
-                max_workers=cfg.allocation.workers_per_agent,
-                use_cache=cfg.use_cache, clock=clock, sink=self.sink)
         return ProcessEvaluator(self.reward_model, agent_id,
                                 config=cfg.proc, use_cache=cfg.use_cache,
                                 clock=clock, sink=self.sink)
@@ -225,10 +219,9 @@ class NasSearch:
                 self.policies.append(None)
                 self.updaters.append(None)
                 continue
-            init_seed = (cfg.seed if cfg.shared_policy_init
-                         else cfg.seed * 10_000 + agent_id)
+            # §3.2: every agent starts from the same policy network
             policy = LSTMPolicy(self.space.action_dims, hidden=cfg.hidden,
-                                embed_dim=cfg.embed_dim, seed=init_seed)
+                                embed_dim=cfg.embed_dim, seed=cfg.seed)
             self.policies.append(policy)
             self.updaters.append(PPOUpdater(policy, PPOConfig(
                 clip=cfg.ppo_clip, epochs=cfg.ppo_epochs, lr=cfg.lr,

@@ -23,8 +23,7 @@ from hypothesis import strategies as st
 
 from repro.bench import ArchTable, TableRow, TableWriter, enumerate_space
 from repro.bench.subspace import capped_space, enumeration_count
-from repro.evaluator.serial import SerialEvaluator
-from repro.evaluator.thread import ThreadEvaluator
+from repro.evaluator import ProcConfig, ProcessEvaluator, SerialEvaluator
 from repro.nas.arch import Architecture
 from repro.nas.plancache import SignatureResolver
 from repro.nas.spaces import get_space
@@ -163,6 +162,7 @@ def test_tabular_reward_referentially_transparent(small_table):
         assert _reward(table_dir, space).evaluate(arch) == baseline
 
 
+@pytest.mark.proc
 def test_tabular_reward_identical_across_backends(small_table):
     table_dir, space = small_table
     archs = [Architecture(space.name, row.choices)
@@ -179,10 +179,10 @@ def test_tabular_reward_identical_across_backends(small_table):
 
     serial = rewards_via(SerialEvaluator(_reward(table_dir, space), 0,
                                          use_cache=False))
-    threaded = rewards_via(ThreadEvaluator(_reward(table_dir, space), 3,
-                                           max_workers=3,
-                                           use_cache=False))
-    assert serial == threaded
+    pooled = rewards_via(ProcessEvaluator(_reward(table_dir, space), 3,
+                                          config=ProcConfig(workers=2),
+                                          use_cache=False))
+    assert serial == pooled
 
 
 def test_resolver_space_mismatch_is_rejected(small_table):

@@ -222,13 +222,14 @@ def test_seeded_search_against_table_reproduces_fingerprint(
         == [r.reward for r in second.records]
 
 
+@pytest.mark.proc
 def test_backend_choice_does_not_change_the_fingerprint(combo_table):
     """TabularReward's referential transparency makes the evaluator
     backend invisible to the trajectory digest."""
     table, space = combo_table
     serial = _replay(table, space, "a3c", backend="serial")
-    threaded = _replay(table, space, "a3c", backend="thread")
-    assert serial.fingerprint() == threaded.fingerprint()
+    pooled = _replay(table, space, "a3c", backend="process")
+    assert serial.fingerprint() == pooled.fingerprint()
 
 
 def test_search_result_regret_methods(combo_table):

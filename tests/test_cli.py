@@ -1,9 +1,26 @@
 """Tests for the command-line interface."""
 
+import argparse
+import inspect
+
 import pytest
 
 from repro import cli
+from repro.bench.cli import build_parser as build_bench_parser
+from repro.bench.sweep import SweepConfig
 from repro.cli import build_parser, main
+from repro.evaluator import BACKENDS, HOST_BACKENDS
+from repro.search import SearchConfig
+from repro.search.chaos import crashpoint_matrix
+
+
+def _option_choices(parser, command, dest):
+    """The ``choices`` of one subcommand option, as a set."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions
+                  if a.dest == dest)
+    return set(action.choices)
 
 
 class TestParser:
@@ -20,6 +37,27 @@ class TestParser:
     def test_invalid_method_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["search", "--method", "dqn"])
+
+    def test_backend_choices_are_the_one_backend_constant(self):
+        """Every ``--backend`` flag, config validator and default reads
+        the backend names declared once in ``repro.evaluator``."""
+        assert _option_choices(build_parser(), "search", "backend") \
+            == set(BACKENDS)
+        assert _option_choices(build_bench_parser(), "sweep", "backend") \
+            == set(HOST_BACKENDS) == set(BACKENDS) - {"balsam"}
+        default = inspect.signature(crashpoint_matrix) \
+            .parameters["backends"].default
+        assert default == HOST_BACKENDS
+        assert BACKENDS == ("balsam", "serial", "process")
+        for name in BACKENDS:
+            SearchConfig(backend=name, max_iterations=1)
+        for name in HOST_BACKENDS:
+            SweepConfig(backend=name)
+        for bad in ("gpu", "balsam"):
+            with pytest.raises(ValueError):
+                SweepConfig(backend=bad)
+        with pytest.raises(ValueError):
+            SearchConfig(backend="gpu", max_iterations=1)
 
 
 class TestCommands:

@@ -79,6 +79,64 @@ class TestSerialEvaluator:
         ev.add_eval_batch([A(1, 1)])
         assert ev.get_finished_evals()[0].reward == 302.0
 
+    def test_repeat_within_batch_is_a_cache_hit(self):
+        """Inline dispatch caches each result before the next
+        architecture is admitted, so a repeat inside one batch is
+        answered from the cache."""
+        rm = StubReward()
+        ev = SerialEvaluator(rm)
+        ev.add_eval_batch([A(2, 2), A(2, 2)])
+        recs = ev.get_finished_evals()
+        assert rm.calls == 1
+        assert [r.cached for r in recs] == [False, True]
+        assert not ev.last_batch_all_cached
+
+
+class ExplodingReward(RewardModel):
+    """Raises for archs whose first choice is odd."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def evaluate(self, arch, agent_seed=0):
+        self.calls += 1
+        if arch.choices[0] % 2 == 1:
+            raise FloatingPointError("overflow in fake training")
+        return EvalResult(float(sum(arch.choices)), 0.01, 10)
+
+
+class TestSerialFailures:
+    def test_worker_exception_becomes_failure_reward(self):
+        ev = SerialEvaluator(ExplodingReward())
+        ev.add_eval_batch([A(1, 5), A(2, 3)])
+        by_arch = {r.arch.choices: r for r in ev.get_finished_evals()}
+        assert by_arch[(1, 5)].reward == RewardModel.FAILURE_REWARD
+        assert by_arch[(2, 3)].reward == 5.0
+        assert ev.num_failed == 1
+
+    def test_failures_not_cached(self):
+        rm = ExplodingReward()
+        ev = SerialEvaluator(rm)
+        ev.add_eval_batch([A(1, 1)])
+        ev.get_finished_evals()
+        # the same arch is re-attempted, not served from the cache
+        ev.add_eval_batch([A(1, 1)])
+        recs = ev.get_finished_evals()
+        assert not recs[0].cached
+        assert rm.calls == 2
+        assert ev.num_failed == 2
+        assert ev.num_cache_hits == 0
+
+    def test_mixed_batch_keeps_successes(self):
+        ev = SerialEvaluator(ExplodingReward())
+        ev.add_eval_batch([A(i, 0) for i in range(6)])
+        recs = ev.get_finished_evals()
+        assert len(recs) == 6
+        failed = [r for r in recs if r.reward == RewardModel.FAILURE_REWARD]
+        assert len(failed) == 3 == ev.num_failed
+        assert sorted(r.reward for r in recs if r not in failed) \
+            == [0.0, 2.0, 4.0]
+
 
 class TestBalsamService:
     def _setup(self, nodes=2):

@@ -1,6 +1,6 @@
 """Uniform evaluator lifecycle semantics across every backend.
 
-The broker contract promises that serial / thread / Balsam / process
+The broker contract promises that serial / Balsam / process
 evaluators are drop-in interchangeable behind
 
     with make_evaluator() as ev:
@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 from repro.evaluator import (BalsamEvaluator, BalsamService, ProcConfig,
-                             ProcessEvaluator, SerialEvaluator,
-                             ThreadEvaluator)
+                             ProcessEvaluator, SerialEvaluator)
 from repro.hpc import TrainingCostModel
 from repro.hpc.cluster import Cluster
 from repro.hpc.sim import Simulator
@@ -50,10 +49,6 @@ def make_serial(**kw):
     return SerialEvaluator(make_surrogate(), 0)
 
 
-def make_thread(eval_seconds=0.0):
-    return ThreadEvaluator(make_surrogate(eval_seconds), 0, max_workers=2)
-
-
 def make_balsam(**kw):
     sim = Simulator()
     service = BalsamService(sim, Cluster(sim, 4))
@@ -65,11 +60,11 @@ def make_process(eval_seconds=0.0):
                             config=ProcConfig(workers=2))
 
 
-INLINE_FACTORIES = [make_serial, make_thread, make_balsam]
+INLINE_FACTORIES = [make_serial, make_balsam]
 
 
 @pytest.mark.parametrize("factory", INLINE_FACTORIES,
-                         ids=["serial", "thread", "balsam"])
+                         ids=["serial", "balsam"])
 class TestLifecycleInline:
     def test_shutdown_is_idempotent(self, factory):
         ev = factory()
@@ -87,23 +82,6 @@ class TestLifecycleInline:
         ev.wait_all(timeout=0.01)
         assert ev.get_finished_evals() == []
         ev.shutdown()
-
-
-class TestStragglersThread:
-    def test_wait_all_timeout_returns_with_stragglers(self):
-        """A timed-out wait returns control with work still in flight;
-        a later unbounded wait completes it — nothing is lost."""
-        ev = make_thread(eval_seconds=1.0)
-        archs = make_archs(2)
-        with ev:
-            start = time.monotonic()
-            ev.add_eval_batch(archs)
-            ev.wait_all(timeout=0.05)
-            assert time.monotonic() - start < 0.9, "timeout did not bound"
-            done_early = len(ev.get_finished_evals())
-            ev.wait_all()
-            done_late = len(ev.get_finished_evals())
-        assert done_early + done_late == len(archs)
 
 
 @pytest.mark.proc

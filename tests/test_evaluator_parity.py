@@ -1,23 +1,22 @@
 """Backend-parity: the same seeded job stream through the serial,
-thread, and simulated-Balsam backends yields identical rewards,
+process, and simulated-Balsam backends yields identical rewards,
 identical broker accounting, and an identical search fingerprint.
 
 This is the contract the broker refactor exists to enforce: all three
-backends share one front-end (cache, counters, failure conversion), so
-only *when* an evaluation completes may differ — never *what* it is
-worth.  Rewards are aligned by architecture within each batch (the
-thread pool completes out of order) and chained into a digest exactly
-the way the search loop fingerprints trajectories; end-to-end wall
-clock vs. virtual time cancels out because the digest hashes actions
-and rewards, never timestamps.
+backends share one front-end (admission, cache, counters, failure
+conversion), so only *when* an evaluation completes may differ — never
+*what* it is worth.  Rewards are aligned by architecture within each
+batch (the process pool completes out of order) and chained into a
+digest exactly the way the search loop fingerprints trajectories;
+end-to-end wall clock vs. virtual time cancels out because the digest
+hashes actions and rewards, never timestamps.
 """
 
 import numpy as np
 import pytest
 
 from repro.evaluator import (BalsamEvaluator, BalsamService, ProcConfig,
-                             ProcessEvaluator, SerialEvaluator,
-                             ThreadEvaluator)
+                             ProcessEvaluator, SerialEvaluator)
 from repro.hpc import TrainingCostModel
 from repro.hpc.cluster import Cluster
 from repro.hpc.sim import Simulator
@@ -73,7 +72,7 @@ def stream_digest(space, batches, reward_batches):
 
 
 def drive_inline(evaluator, space, batches):
-    """Serial/thread backends: submit, barrier, drain — per batch."""
+    """In-host backends: submit, barrier, drain — per batch."""
     reward_batches = []
     with evaluator as ev:
         for actions in batches:
@@ -110,11 +109,8 @@ def drive_balsam(space, batches):
 def runs(space, batches):
     serial = SerialEvaluator(make_surrogate(space), AGENT_ID)
     serial_rewards = drive_inline(serial, space, batches)
-    thread = ThreadEvaluator(make_surrogate(space), AGENT_ID, max_workers=3)
-    thread_rewards = drive_inline(thread, space, batches)
     balsam, balsam_rewards = drive_balsam(space, batches)
     return {"serial": (serial, serial_rewards),
-            "thread": (thread, thread_rewards),
             "balsam": (balsam, balsam_rewards)}
 
 
@@ -218,16 +214,10 @@ class TestProposerBatchParity:
         serial = drive_inline(
             SerialEvaluator(make_surrogate(space), AGENT_ID),
             space, proposer_batches)
-        thread = drive_inline(
-            ThreadEvaluator(make_surrogate(space), AGENT_ID,
-                            max_workers=3),
-            space, proposer_batches)
         _, balsam = drive_balsam(space, proposer_batches)
-        for name, rewards in (("thread", thread), ("balsam", balsam)):
-            for i, (a, b) in enumerate(zip(serial, rewards)):
-                assert np.array_equal(a, b), f"{name} batch {i} diverged"
+        for i, (a, b) in enumerate(zip(serial, balsam)):
+            assert np.array_equal(a, b), f"balsam batch {i} diverged"
         assert stream_digest(space, proposer_batches, serial) == \
-            stream_digest(space, proposer_batches, thread) == \
             stream_digest(space, proposer_batches, balsam)
 
     def test_batches_stay_inside_the_space(self, space, proposer_batches):
@@ -241,30 +231,29 @@ class TestProposerBatchParity:
 class TestBackendParity:
     def test_identical_rewards_per_batch(self, runs):
         _, serial_rewards = runs["serial"]
-        for name in ("thread", "balsam"):
-            _, rewards = runs[name]
-            for i, (a, b) in enumerate(zip(serial_rewards, rewards)):
-                assert np.array_equal(a, b), f"{name} batch {i} diverged"
+        _, rewards = runs["balsam"]
+        for i, (a, b) in enumerate(zip(serial_rewards, rewards)):
+            assert np.array_equal(a, b), f"balsam batch {i} diverged"
 
     def test_identical_fingerprints(self, space, batches, runs):
         digests = {name: stream_digest(space, batches, rewards)
                    for name, (_, rewards) in runs.items()}
-        assert digests["serial"] == digests["thread"] == digests["balsam"]
+        assert digests["serial"] == digests["balsam"]
 
     def test_identical_broker_accounting(self, runs):
         counters = {name: (ev.num_submitted, ev.num_cache_hits,
                            ev.num_failed)
                     for name, (ev, _) in runs.items()}
-        assert counters["serial"] == counters["thread"] == counters["balsam"]
+        assert counters["serial"] == counters["balsam"]
         # the repeated batch must have been answered from the cache
         assert counters["serial"][1] >= BATCH
 
     def test_identical_cache_tallies(self, runs):
         tallies = {name: (ev.cache.hits, ev.cache.misses, len(ev.cache))
                    for name, (ev, _) in runs.items()}
-        assert tallies["serial"] == tallies["thread"] == tallies["balsam"]
+        assert tallies["serial"] == tallies["balsam"]
 
     def test_all_cached_flag_parity(self, runs):
         flags = {name: ev.last_batch_all_cached
                  for name, (ev, _) in runs.items()}
-        assert flags["serial"] == flags["thread"] == flags["balsam"] is True
+        assert flags["serial"] == flags["balsam"] is True

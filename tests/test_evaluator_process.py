@@ -11,6 +11,7 @@ an importable ``src`` module the spawn children can re-import.
 """
 
 import os
+import pickle
 import signal
 import time
 
@@ -22,8 +23,9 @@ from repro.events import (QUARANTINE, WORKER_CRASH, WORKER_RESPAWN,
                           WORKER_SPAWN, WORKER_TIMEOUT, RecordingSink)
 from repro.hpc import TrainingCostModel
 from repro.nas.spaces import combo_small
+from repro.problems import get_problem
 from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
-from repro.rewards import SurrogateReward
+from repro.rewards import SurrogateReward, TrainingReward
 from repro.rewards.base import RewardModel
 from repro.search.chaos import ChaosEvalModel, check_proc_rows, proc_matrix
 
@@ -195,6 +197,31 @@ class TestGracefulDegradation:
             recs = inline.get_finished_evals()
         assert inline.num_inline_evals == 4
         assert {r.arch.key: r.reward for r in recs} == pool_rewards
+
+
+class TestTrainingRewardInWorkers:
+    """The paper's real reward crosses the process boundary: every
+    built-in problem's ``TrainingReward`` pickles, and a worker trains
+    the network to the same reward the parent computes inline."""
+
+    @pytest.mark.parametrize("name", ["combo", "uno", "nt3"])
+    def test_training_reward_evaluates_in_a_worker(self, name):
+        problem = get_problem(name)
+        reward = TrainingReward(problem)
+        clone = pickle.loads(pickle.dumps(reward))
+        assert clone.problem.baseline_params(paper_scale=True) \
+            == problem.baseline_params(paper_scale=True)
+        arch = problem.space.decode(
+            np.zeros(len(problem.space.action_dims), dtype=int))
+        expected = reward.evaluate(arch, agent_seed=0)
+        with ProcessEvaluator(reward, 0,
+                              config=ProcConfig(workers=1)) as ev:
+            ev.add_eval_batch([arch])
+            ev.wait_all(timeout=120)
+            recs = ev.get_finished_evals()
+        assert [r.reward for r in recs] == [expected.reward]
+        assert ev.num_failed == 0
+        assert ev.stats()["inline_evals"] == 0
 
 
 class TestChaosProfile:

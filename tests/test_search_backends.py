@@ -1,13 +1,12 @@
 """Search-level backend parity: the full RL search driven through the
-serial, thread, and process evaluation backends lands on bit-identical
+serial and process evaluation backends lands on bit-identical
 trajectory fingerprints.
 
 This is the acceptance check for the supervised process pool: in
 deterministic mode (no injected faults) nothing observable may change
 across the process boundary — worker scheduling and completion order
 can differ, but actions, rewards, and policy updates cannot.  The
-process legs are ``proc``-marked; serial vs. thread runs in the fast
-tier.
+process legs are ``proc``-marked.
 """
 
 import pytest
@@ -47,12 +46,6 @@ def serial_runs(space):
 
 
 class TestInlineBackendParity:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_thread_matches_serial(self, space, serial_runs, method):
-        res = run_search(space, method, "thread")
-        assert res.num_evaluations > 0
-        assert res.fingerprint() == serial_runs[method].fingerprint()
-
     def test_serial_backend_runs_all_agents(self, serial_runs):
         for method, res in serial_runs.items():
             assert res.num_evaluations > 0, method

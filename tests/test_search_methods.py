@@ -189,8 +189,7 @@ def nt3_table(tmp_path_factory):
     metadata = {"problem": "nt3", "size": "small", "scale": 0.05,
                 "cap_ops": 2, "cap": None, "seed": 0}
     sweep_space(space, reward, out,
-                SweepConfig(backend="thread", workers=4, shard_size=512,
-                            seed=0), metadata=metadata)
+                SweepConfig(shard_size=512, seed=0), metadata=metadata)
     return ArchTable.load(out), space
 
 

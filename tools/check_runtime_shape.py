@@ -8,8 +8,9 @@ enforces the same ≤60-line function budget as
 ``tests/test_search_runtime.py::TestRunnerShape`` but over *all* the
 seam modules, so a future method can't quietly grow a new monolith in
 ``ambs.py`` or ``evolution.py`` either.  The journal and checkpoint
-modules, which hold the one resume path (``resume_durable``), are held
-to the same budget.  Docstrings don't count against the budget.  Run
+modules, which hold the one resume path (``resume_durable``), and the
+evaluation broker with its serial and process backends are held to the
+same budget.  Docstrings don't count against the budget.  Run
 via ``make lint``.
 
 Exit status: 0 when every function fits, 1 with an offender report.
@@ -32,6 +33,9 @@ SEAM_MODULES = (
     "src/repro/search/methods.py",
     "src/repro/search/journal.py",
     "src/repro/search/checkpoint.py",
+    "src/repro/evaluator/broker.py",
+    "src/repro/evaluator/serial.py",
+    "src/repro/evaluator/process.py",
 )
 
 
