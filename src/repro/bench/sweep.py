@@ -12,8 +12,9 @@ Design points:
 
 * **signature dedup before dispatch** — every enumerated architecture
   is resolved to its :func:`~repro.nas.plancache.plan_signature` first
-  (through the shared :class:`~repro.nas.plancache.PlanCache`, so the
-  compile amortizes with the evaluation's own compile); classes already
+  (through a :class:`~repro.nas.plancache.PlanCache` attached to the
+  reward model for the sweep, so an in-host evaluation reuses the
+  resolve's compile); classes already
   in the table — from this run *or a previous killed run* — are
   skipped, which is exactly what makes a resumed sweep evaluate nothing
   twice;
@@ -31,12 +32,12 @@ Design points:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..evaluator import HOST_BACKENDS
 from ..evaluator.process import ProcConfig, ProcessEvaluator
 from ..evaluator.serial import SerialEvaluator
-from ..nas.plancache import PlanCache, SignatureResolver, exact_key
+from ..nas.plancache import PlanCache, SignatureResolver
 from ..nas.space import Structure
 from ..rewards.base import RewardModel
 from .subspace import enumerate_space, enumeration_count
@@ -130,20 +131,21 @@ class SpaceSweeper:
     def run(self) -> SweepReport:
         cfg = self.config
         start = time.monotonic()
-        # one shared compile cache: the signature resolve and the
-        # evaluation's own compile pay for a plan once between them
-        if self.reward_model.plan_cache is None:
-            self.reward_model.set_plan_cache(PlanCache())
-        resolver = SignatureResolver(
-            self.space, self._input_shapes(), self._head_ops(),
-            plan_cache=self.reward_model.plan_cache)
-
+        input_shapes, head_ops = self._input_shapes(), self._head_ops()
         report = SweepReport(space=self.space.name, backend=cfg.backend)
         writer = TableWriter(self.out_dir, self.space.name,
                              shard_size=cfg.shard_size,
                              metadata=self.metadata)
         report.resumed = len(writer.known)
+        # built before the cache is attached, so the process backend
+        # pickles the model without it
         evaluator = self._build_evaluator()
+        # one compile cache for the sweep: the signature resolve and an
+        # in-host evaluation pay for a plan once between them
+        cache = PlanCache()
+        self.reward_model.set_plan_cache(cache)
+        resolver = SignatureResolver(self.space, input_shapes, head_ops,
+                                     plan_cache=cache)
         try:
             batch: list[tuple[str, object]] = []   # (sig, arch) to evaluate
             pending: set[str] = set()
@@ -168,6 +170,7 @@ class SpaceSweeper:
             if batch:
                 self._flush(batch, evaluator, writer, report)
         finally:
+            self.reward_model.set_plan_cache(None)
             evaluator.shutdown()
             writer.close()
 
@@ -185,9 +188,9 @@ class SpaceSweeper:
         evaluator.wait_all()
         results = {}
         for rec in evaluator.get_finished_evals():
-            results[exact_key(rec.arch)] = rec.result
+            results[rec.arch.key] = rec.result
         for sig, arch in batch:
-            result = results[exact_key(arch)]
+            result = results[arch.key]
             if result.reward == RewardModel.FAILURE_REWARD:
                 report.failed += 1
             writer.append(TableRow(

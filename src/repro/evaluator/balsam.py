@@ -224,8 +224,7 @@ class BalsamEvaluator(EvalBroker):
                  batch_deadline: float | None = None,
                  sink: EventSink | None = None) -> None:
         super().__init__(agent_id=agent_id, use_cache=use_cache,
-                         clock=lambda: service.sim.now, sink=sink,
-                         plan_source=reward_model)
+                         clock=lambda: service.sim.now, sink=sink)
         if batch_deadline is not None and batch_deadline <= 0:
             raise ValueError("batch_deadline must be positive")
         self.service = service

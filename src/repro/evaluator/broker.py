@@ -14,16 +14,7 @@ The admission sequence (submit stamp, submission count, journal replay,
 cache) is written once, in :meth:`EvalBroker._admit`.
 
 The broker also emits the structured event stream (``submit``,
-``batch-stats``, ``cache-hit``, ``eval-done``) to an optional
-:mod:`repro.events` sink.
-
-When the reward model carries a shared
-:class:`~repro.nas.plancache.PlanCache`, the broker *gathers* each
-batch against it: the K pending evaluations are deduplicated by
-architecture key and every distinct architecture's plan is prefetched
-(compiled once, shared across agents) before dispatch, with the
-gather's hit/miss/isomorphism statistics surfaced as a ``batch-stats``
-event.
+``cache-hit``, ``eval-done``) to an optional :mod:`repro.events` sink.
 """
 
 from __future__ import annotations
@@ -32,9 +23,8 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from ..events import BATCH_STATS, CACHE_HIT, EVAL_DONE, SUBMIT, EventSink, emit
+from ..events import CACHE_HIT, EVAL_DONE, SUBMIT, EventSink, emit
 from ..nas.arch import Architecture
-from ..nas.plancache import exact_key
 from ..rewards.base import EvalResult, RewardModel
 from .base import EvalRecord, Evaluator
 from .cache import EvalCache
@@ -103,14 +93,11 @@ class EvalBroker(Evaluator):
     """
 
     def __init__(self, agent_id: int = 0, use_cache: bool = True,
-                 clock=time.monotonic, sink: EventSink | None = None,
-                 plan_source: RewardModel | None = None) -> None:
+                 clock=time.monotonic, sink: EventSink | None = None) -> None:
         super().__init__(agent_id)
         self.cache = EvalCache() if use_cache else None
         self.clock = clock
         self.sink = sink
-        #: reward model whose plan cache batches warm (None = no gather)
-        self.plan_source = plan_source
         self._finished: list[EvalRecord] = []
         #: journal-replay store: arch key -> FIFO of completed evals the
         #: resumed run must re-serve instead of re-executing
@@ -119,34 +106,6 @@ class EvalBroker(Evaluator):
         self.num_replayed = 0
 
     # -- shared bookkeeping -------------------------------------------
-    def _begin_batch(self, archs: list[Architecture]) -> None:
-        emit(self.sink, SUBMIT, self.clock(), self.agent_id,
-             count=len(archs))
-        source = self.plan_source
-        plan_cache = getattr(source, "plan_cache", None)
-        if plan_cache is None or not archs:
-            return
-        # batched gather: compile each distinct architecture once, up
-        # front, so dispatch hits warm plans (prefetch_plan never
-        # raises — invalid architectures fail at execution time).
-        # Architectures the journal replay will answer are not compiled
-        # at all — their results never execute, so a warm plan would be
-        # pure waste (the plan hit/miss tallies of a resumed run's
-        # batch-stats therefore differ from the original run's; the
-        # batch/distinct counts still match).
-        distinct = {arch.key: arch for arch in archs}
-        before = plan_cache.stats()
-        for arch in distinct.values():
-            if self._replay and self._replay.get(exact_key(arch)):
-                continue
-            source.prefetch_plan(arch)
-        after = plan_cache.stats()
-        emit(self.sink, BATCH_STATS, self.clock(), self.agent_id,
-             batch=len(archs), distinct=len(distinct),
-             plan_hits=after["hits"] - before["hits"],
-             plan_misses=after["misses"] - before["misses"],
-             iso_hits=after["iso_hits"] - before["iso_hits"])
-
     def _admit(self, archs: list[Architecture]):
         """The admission sequence every backend shares; yields
         ``(arch, submit_time)`` for each architecture to dispatch.
@@ -161,7 +120,8 @@ class EvalBroker(Evaluator):
         came in a later batch.  ``last_batch_all_cached`` is set once
         the batch is exhausted.
         """
-        self._begin_batch(archs)
+        emit(self.sink, SUBMIT, self.clock(), self.agent_id,
+             count=len(archs))
         all_cached = True
         for arch in archs:
             submit = self.clock()
@@ -266,7 +226,7 @@ class EvalBroker(Evaluator):
         """
         if not self._replay:
             return False
-        queue = self._replay.get(exact_key(arch))
+        queue = self._replay.get(arch.key)
         if not queue:
             return False
         entry = queue.popleft()

@@ -198,14 +198,12 @@ class ProcessEvaluator(EvalBroker):
                  config: ProcConfig | None = None, use_cache: bool = True,
                  clock=time.monotonic, sink: EventSink | None = None,
                  start: bool = True) -> None:
-        # no plan_source: compiled plans cannot cross the process
-        # boundary, so a parent-side batch gather would only waste work
         super().__init__(agent_id=agent_id, use_cache=use_cache,
-                         clock=clock, sink=sink, plan_source=None)
+                         clock=clock, sink=sink)
         self.reward_model = reward_model
         self.proc_config = config or ProcConfig()
         self._ctx = mp.get_context("spawn")
-        self._payload = self._pickle_reward_model(reward_model)
+        self._payload = pickle.dumps(reward_model)
         self._result_q = None
         self._workers: dict[int, _Worker] = {}
         self._next_wid = 0
@@ -232,18 +230,6 @@ class ProcessEvaluator(EvalBroker):
                 self._spawn_worker()
 
     # -- worker pool ---------------------------------------------------
-    @staticmethod
-    def _pickle_reward_model(reward_model: RewardModel) -> bytes:
-        """Pickle the model with any attached plan cache detached —
-        compiled plans hold buffer pools that are meaningless (and
-        potentially unpicklable) in a fresh process."""
-        cache = reward_model.plan_cache
-        try:
-            reward_model.set_plan_cache(None)
-            return pickle.dumps(reward_model)
-        finally:
-            reward_model.set_plan_cache(cache)
-
     def _spawn_worker(self, respawn: bool = False) -> _Worker:
         if self._result_q is None:
             self._result_q = self._ctx.Queue()

@@ -29,7 +29,7 @@ class SerialEvaluator(EvalBroker):
                  use_cache: bool = True, clock=time.monotonic,
                  sink: EventSink | None = None) -> None:
         super().__init__(agent_id=agent_id, use_cache=use_cache,
-                         clock=clock, sink=sink, plan_source=reward_model)
+                         clock=clock, sink=sink)
         self.reward_model = reward_model
         self.backend = RewardModelBackend(reward_model, agent_id)
 

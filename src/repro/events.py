@@ -11,6 +11,11 @@ Emission is strictly passive: sinks observe, they never feed back into
 the search, so attaching (or detaching) a sink cannot perturb a run's
 determinism fingerprint.  With no sink configured nothing is even
 constructed — :func:`emit` is a no-op on ``sink=None``.
+
+:data:`EVENT_KINDS` lists what the runtime emits today.  Readers do not
+check kinds: a stream written by an older version may carry kinds it no
+longer lists (such as the per-batch plan-gather report the broker used
+to emit), and every consumer that dispatches on ``kind`` skips them.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 from .util.atomicio import FsyncPolicy
 
 __all__ = [
-    "SUBMIT", "BATCH_STATS", "EVAL_DONE", "CACHE_HIT", "PUSH", "BARRIER",
+    "SUBMIT", "EVAL_DONE", "CACHE_HIT", "PUSH", "BARRIER",
     "ROLLBACK", "RESTART", "CHECKPOINT", "CRASH", "AGENT_DONE",
     "WORKER_SPAWN", "WORKER_CRASH", "WORKER_RESPAWN", "WORKER_TIMEOUT",
     "QUARANTINE", "PREEMPT",
@@ -36,10 +41,6 @@ _log = logging.getLogger("repro.events")
 
 #: a batch of architectures entered the evaluation broker
 SUBMIT = "submit"
-#: the broker gathered a batch against the shared plan cache; payload
-#: carries the batch size, distinct-architecture count, and the plan
-#: hit / miss / isomorphism-hit deltas of the gather
-BATCH_STATS = "batch-stats"
 #: one evaluation finished (real or failed — see ``payload["failed"]``)
 EVAL_DONE = "eval-done"
 #: an architecture was answered from the agent-local cache
@@ -72,7 +73,7 @@ QUARANTINE = "quarantine"
 #: checkpointable boundary
 PREEMPT = "preempt"
 
-EVENT_KINDS = (SUBMIT, BATCH_STATS, EVAL_DONE, CACHE_HIT, PUSH, BARRIER,
+EVENT_KINDS = (SUBMIT, EVAL_DONE, CACHE_HIT, PUSH, BARRIER,
                ROLLBACK, RESTART, CHECKPOINT, CRASH, AGENT_DONE,
                WORKER_SPAWN, WORKER_CRASH, WORKER_RESPAWN, WORKER_TIMEOUT,
                QUARANTINE, PREEMPT)

@@ -1,31 +1,21 @@
-"""Isomorphism-keyed cache of compiled architecture plans.
+"""Plan signatures, the signature resolver, and the sweep's compile cache.
 
-At paper scale the same architectures are compiled over and over: every
-agent re-derives plans the others already walked (the surrogate's reward
-landscape funnels all agents toward the same region), and a converged
-search resubmits one architecture thousands of times.  A
-:class:`~repro.nas.builder.Plan` is a pure function of (structure,
-choices, input shapes, head ops) and is never mutated after compilation
-— ``materialize`` draws fresh weights each call — so plans can be shared
-freely across agents and iterations.
+:func:`plan_signature` is the canonical identity of a compiled
+:class:`~repro.nas.builder.Plan`: a topology hash invariant under node
+renaming, so distinct action sequences that decode to the same network
+(variable nodes whose option lists repeat an operation, or choices that
+only differ inside dead branches of the plan) share one signature.
+:class:`SignatureResolver` maps architectures to it; the tabular
+benchmark (:mod:`repro.bench`) and
+:class:`~repro.rewards.tabular.TabularReward` key their rows by it, as
+NAS-Bench-201 dedups by isomorphic cell.
 
-The cache has two levels:
-
-* an **exact** map from ``(space name, choice tuple)`` to the compiled
-  plan — the common fast path (``hits``);
-* a **canonical** map from :func:`plan_signature` — a topology hash
-  invariant under node renaming — to the first plan compiled with that
-  structure (``iso_hits``).  Distinct action sequences can decode to
-  structurally identical networks (e.g. variable nodes whose option
-  lists repeat an operation, or choices that only differ inside
-  dead branches of the plan); the second level makes all of them alias
-  one plan object, so downstream memoization and materialization warm
-  up once per *structure*, not once per *action sequence*.
-
-Cache state intentionally stays out of checkpoint files: plans are
-recomputable, so :meth:`PlanCache.snapshot` captures only the keys and
-counters and :meth:`PlanCache.restore` recompiles — bit-identical by
-construction.
+:class:`PlanCache` is an exact ``(space, choices)`` map of compiled
+plans.  Its one user is :class:`~repro.bench.sweep.SpaceSweeper`, where
+it lets the signature resolve and the evaluation share one compile of
+each architecture.  Searches run without it: their agent-local
+evaluation cache already removes repeats, so a shared plan cache only
+ever answered the second lookup of the same architecture.
 """
 
 from __future__ import annotations
@@ -37,21 +27,9 @@ from .builder import Plan, compile_architecture
 from .ops import Operation
 from .space import Structure
 
-__all__ = ["PlanCache", "SignatureResolver", "exact_key", "plan_signature"]
+__all__ = ["PlanCache", "SignatureResolver", "plan_signature"]
 
 Shape = tuple[int, ...]
-
-
-def exact_key(arch) -> tuple:
-    """The raw ``(space, choices)`` cache key of an architecture.
-
-    Every layer that keys architectures by their action sequence — the
-    agent-local :class:`~repro.evaluator.cache.EvalCache`, the exact
-    level of :class:`PlanCache`, the bench table's sequence index — goes
-    through this one helper, so "what exactly identifies an action
-    sequence" is defined in a single place.
-    """
-    return (arch.space, tuple(int(c) for c in arch.choices))
 
 
 def _op_token(op: Operation | None) -> str | None:
@@ -123,7 +101,7 @@ class SignatureResolver:
     def signature(self, arch) -> str:
         """Canonical signature of ``arch``; raises on an architecture
         that does not compile (invalid in this space)."""
-        space, choices = exact_key(arch)
+        space, choices = arch.key
         if space != self.structure.name:
             raise ValueError(
                 f"architecture of space {space!r} resolved against "
@@ -147,11 +125,11 @@ class SignatureResolver:
 
 
 class PlanCache:
-    """Shared compile cache; see the module docstring for the design.
+    """Exact ``(space, choices)`` map of compiled plans.
 
-    One instance is shared by every agent of a search (plans are
-    immutable, so sharing is safe); the search runtime attaches it to
-    the reward model via
+    Plans are immutable — ``materialize`` draws fresh weights each call
+    — so one cached plan serves every lookup of its architecture.  The
+    sweep attaches an instance via
     :meth:`~repro.rewards.base.RewardModel.set_plan_cache`.
     """
 
@@ -160,28 +138,18 @@ class PlanCache:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self._plans: dict[tuple, Plan] = {}
-        self._by_sig: dict[str, Plan] = {}
-        #: exact-key lookups answered without compiling
+        #: lookups answered without compiling
         self.hits = 0
         #: lookups that had to compile
         self.misses = 0
-        #: compiles whose plan turned out isomorphic to a cached one and
-        #: was aliased to it (subset of ``misses``)
-        self.iso_hits = 0
 
     def __len__(self) -> int:
         return len(self._plans)
 
     def stats(self) -> dict[str, int]:
-        return {"entries": len(self._plans), "unique_plans": len(self._by_sig),
-                "hits": self.hits, "misses": self.misses,
-                "iso_hits": self.iso_hits}
+        return {"entries": len(self._plans), "hits": self.hits,
+                "misses": self.misses}
 
-    def clear(self) -> None:
-        self._plans.clear()
-        self._by_sig.clear()
-
-    # -- the one lookup path -------------------------------------------
     def get_or_compile(self, structure: Structure, choices,
                        input_shapes: dict[str, Shape],
                        head_ops=None) -> Plan:
@@ -201,48 +169,6 @@ class PlanCache:
         plan = compile_architecture(structure, choices, input_shapes,
                                     head_ops)
         if len(self._plans) >= self.max_entries:  # bound memory at scale
-            self.clear()
-        return self._insert(key, plan)
-
-    def _insert(self, key: tuple, plan: Plan) -> Plan:
-        sig = plan_signature(plan)
-        canonical = self._by_sig.get(sig)
-        if canonical is not None:
-            plan = canonical
-            self.iso_hits += 1
-        else:
-            self._by_sig[sig] = plan
+            self._plans.clear()
         self._plans[key] = plan
         return plan
-
-    # -- checkpoint support --------------------------------------------
-    def snapshot(self) -> dict:
-        """Keys + counters only — plans are recomputable and never enter
-        checkpoint files (the v1 wire format stays untouched)."""
-        return {"keys": [[space, list(choices)]
-                         for space, choices in self._plans],
-                "hits": self.hits, "misses": self.misses,
-                "iso_hits": self.iso_hits}
-
-    def restore(self, snapshot: dict, structure: Structure,
-                input_shapes: dict[str, Shape], head_ops=None) -> None:
-        """Rebuild the cache from a :meth:`snapshot` by recompiling.
-
-        Compilation is deterministic, so the restored plans — including
-        the isomorphism aliasing — are bit-identical to the originals.
-        Keys of other structures (shared cache, multi-space snapshots)
-        are skipped; counters are restored exactly as captured.
-        """
-        self.clear()
-        for space_name, choices in snapshot["keys"]:
-            if space_name != structure.name:
-                continue
-            key = (space_name, tuple(int(c) for c in choices))
-            plan = compile_architecture(structure, key[1], input_shapes,
-                                        head_ops)
-            self._insert(key, plan)
-        # _insert bumps iso_hits while rebuilding; the captured counters
-        # are authoritative
-        self.hits = int(snapshot["hits"])
-        self.misses = int(snapshot["misses"])
-        self.iso_hits = int(snapshot["iso_hits"])

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..nas.arch import Architecture
+from ..nas.builder import compile_architecture
 
 __all__ = ["EvalResult", "RewardModel"]
 
@@ -49,32 +50,22 @@ class RewardModel:
     #: reward granted when an architecture fails to compile/train at all
     FAILURE_REWARD = -1.0
 
-    #: optional shared :class:`~repro.nas.plancache.PlanCache`; attached
-    #: by the search runtime so compiled plans amortize across agents
+    #: optional :class:`~repro.nas.plancache.PlanCache`; a space sweep
+    #: attaches one for its run so the signature resolve and the
+    #: evaluation share one compile (searches run without it)
     plan_cache = None
 
     def evaluate(self, arch: Architecture, agent_seed: int = 0) -> EvalResult:
         raise NotImplementedError
 
     def set_plan_cache(self, cache) -> None:
-        """Attach a shared compile cache (plans are immutable, so one
-        cache safely serves every agent of a search)."""
+        """Attach (or, with None, detach) a compile cache; plans are
+        immutable, so cached plans are identical to fresh compiles."""
         self.plan_cache = cache
-
-    def prefetch_plan(self, arch: Architecture) -> None:
-        """Warm the plan cache for ``arch`` before evaluation.
-
-        The broker calls this once per distinct architecture of a batch
-        so the compile cost is paid (and shared) at gather time.  The
-        base implementation is a no-op; subclasses that compile override
-        it.  Must never raise — invalid architectures surface as failure
-        rewards at evaluation time, not here.
-        """
 
     def _compile_plan(self, space, choices, input_shapes, head_ops):
         """Compile through the attached plan cache, or directly when
         none is attached (identical plans either way)."""
-        from ..nas.builder import compile_architecture
         if self.plan_cache is not None:
             return self.plan_cache.get_or_compile(space, choices,
                                                   input_shapes, head_ops)

@@ -148,14 +148,6 @@ class SurrogateReward(RewardModel):
         return self._compile_plan(self.space, arch.choices,
                                   self.input_shapes, self.head_ops)
 
-    def prefetch_plan(self, arch: Architecture) -> None:
-        if self.plan_cache is None:
-            return
-        try:
-            self._plan(arch)
-        except (ValueError, KeyError):
-            pass  # invalid architecture: surfaces at evaluation time
-
     def params_of(self, arch: Architecture) -> int:
         """Exact parameter count, memoized per choice tuple."""
         key = arch.choices

@@ -91,14 +91,6 @@ class TabularReward(RewardModel):
                    fallback_reward=fallback_reward)
 
     # -- RewardModel API -----------------------------------------------
-    def prefetch_plan(self, arch: Architecture) -> None:
-        if self.plan_cache is None:
-            return
-        if self.resolver.plan_cache is None:
-            # adopt the search's shared compile cache so gathers warm it
-            self.resolver.plan_cache = self.plan_cache
-        self.resolver.try_signature(arch)
-
     def evaluate(self, arch: Architecture,
                  agent_seed: int = 0) -> EvalResult:
         """Table lookup; ``agent_seed`` is deliberately ignored — the

@@ -14,7 +14,6 @@ import zlib
 import numpy as np
 
 from ..nas.arch import Architecture
-from ..nas.builder import compile_architecture
 from ..nn.training import Trainer
 from ..problems.base import Problem
 from .base import EvalResult, RewardModel
@@ -58,20 +57,8 @@ class TrainingReward(RewardModel):
 
     def _plan(self, arch: Architecture):
         problem = self.problem
-        if self.plan_cache is not None:
-            return self.plan_cache.get_or_compile(
-                problem.space, arch.choices, problem.input_shapes,
-                problem.head_ops)
-        return compile_architecture(problem.space, arch.choices,
-                                    problem.input_shapes, problem.head_ops)
-
-    def prefetch_plan(self, arch: Architecture) -> None:
-        if self.plan_cache is None:
-            return
-        try:
-            self._plan(arch)
-        except (ValueError, KeyError, FloatingPointError, OverflowError):
-            pass  # invalid architecture: surfaces at evaluation time
+        return self._compile_plan(problem.space, arch.choices,
+                                  problem.input_shapes, problem.head_ops)
 
     def evaluate(self, arch: Architecture, agent_seed: int = 0,
                  train_fraction: float | None = None) -> EvalResult:

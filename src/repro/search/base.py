@@ -46,12 +46,6 @@ class SearchConfig:
     convergence_patience: int = 3
     #: agent-local evaluation cache (§4); disable for ablations
     use_cache: bool = True
-    #: shared isomorphism-keyed compile cache
-    #: (:class:`~repro.nas.plancache.PlanCache`): plans amortize across
-    #: agents and iterations, and the broker batch-gathers each
-    #: submission against it.  Plans are immutable, so this never
-    #: perturbs the determinism fingerprint; disable for ablations
-    plan_cache: bool = True
     #: A3C parameter-server staleness window (None = num_agents // 2,
     #: "a set of recently received gradients")
     staleness_window: int | None = None
@@ -132,6 +126,8 @@ class SearchConfig:
     ambs_ensemble: int = 8
 
     def __post_init__(self) -> None:
+        if self.convergence_patience < 1:
+            raise ValueError("convergence_patience must be positive")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be non-negative")
         if self.backend not in BACKENDS:

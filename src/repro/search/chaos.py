@@ -42,7 +42,7 @@ import tempfile
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..events import EVAL_DONE
@@ -98,7 +98,6 @@ class ChaosEvalModel(RewardModel):
     seed: int = 0
     #: exit code of injected crashes (visible in WORKER_CRASH causes)
     crash_exit_code: int = 23
-    plan_cache: object = field(default=None, repr=False)
 
     def _draw(self, arch: Architecture) -> float:
         return zlib.crc32(repr((self.seed, arch.key)).encode()) / 2.0 ** 32
@@ -122,13 +121,6 @@ class ChaosEvalModel(RewardModel):
             time.sleep(self.eval_seconds)
         return self.inner.evaluate(arch, agent_seed=agent_seed)
 
-    def set_plan_cache(self, cache) -> None:
-        self.plan_cache = cache
-        self.inner.set_plan_cache(cache)
-
-    def prefetch_plan(self, arch: Architecture) -> None:
-        self.inner.prefetch_plan(arch)
-
 
 @dataclass
 class CountingRewardModel(RewardModel):
@@ -139,18 +131,10 @@ class CountingRewardModel(RewardModel):
 
     inner: RewardModel
     calls: int = 0
-    plan_cache: object = field(default=None, repr=False)
 
     def evaluate(self, arch: Architecture, agent_seed: int = 0) -> EvalResult:
         self.calls += 1
         return self.inner.evaluate(arch, agent_seed=agent_seed)
-
-    def set_plan_cache(self, cache) -> None:
-        self.plan_cache = cache
-        self.inner.set_plan_cache(cache)
-
-    def prefetch_plan(self, arch: Architecture) -> None:
-        self.inner.prefetch_plan(arch)
 
 
 def fault_levels(minutes: float, seed: int) -> list[tuple[str,

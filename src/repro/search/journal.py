@@ -47,7 +47,6 @@ from pathlib import Path
 from ..evaluator.broker import ReplayEval
 from ..events import (EVAL_DONE, RESTART, EventLog, EventSink, SearchEvent)
 from ..nas.arch import Architecture
-from ..nas.plancache import exact_key
 from ..util.atomicio import FsyncPolicy, atomic_write_json
 from .checkpoint import SearchCheckpoint
 
@@ -339,7 +338,7 @@ def build_replay(events, checkpoint: SearchCheckpoint | None
             continue
         arch = Architecture.from_dict(payload["arch"])
         per_agent.setdefault(event.agent_id, []).append(ReplayEval(
-            key=exact_key(arch),
+            key=arch.key,
             reward=float(payload["reward"]),
             duration=float(payload.get("duration", 0.0)),
             params=int(payload.get("params", 0)),

@@ -53,7 +53,6 @@ from ..events import (AGENT_DONE, CHECKPOINT, CRASH, PREEMPT, RESTART,
 from ..hpc.cluster import Cluster
 from ..hpc.faults import FaultInjector
 from ..hpc.sim import Interrupt, Simulator
-from ..nas.plancache import PlanCache
 from ..nas.space import Structure
 from ..rewards.base import RewardModel
 from ..rl.policy import LSTMPolicy
@@ -105,11 +104,6 @@ class NasSearch:
             retry_backoff_cap=cfg.retry_backoff_cap)
         self.exchange = build_exchange(self.sim, cfg, space, sink=self.sink)
         self.proposer = build_proposer(cfg, space, self.exchange)
-        if cfg.plan_cache and reward_model.plan_cache is None:
-            # one shared compile cache for every agent; a reward model
-            # that already carries one (checkpoint resume, explicit
-            # attachment) keeps it — warm plans survive the restart
-            reward_model.set_plan_cache(PlanCache())
 
         self.records: list[RewardRecord] = []
         self._converged_agents = 0

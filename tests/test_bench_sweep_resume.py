@@ -21,7 +21,8 @@ import pytest
 from repro.bench import ArchTable, SpaceSweeper, SweepConfig
 from repro.rewards.base import EvalResult
 
-from _bench_common import CLI_METADATA, combo_surrogate, sweep_combo_table
+from _bench_common import (CLI_METADATA, capped_combo, combo_surrogate,
+                           sweep_combo_table)
 
 pytestmark = pytest.mark.bench
 
@@ -68,9 +69,6 @@ class _CountingSurrogate:
 
     def set_plan_cache(self, cache):
         self._inner.set_plan_cache(cache)
-
-    def prefetch_plan(self, arch):
-        self._inner.prefetch_plan(arch)
 
     def evaluate(self, arch, agent_seed=0) -> EvalResult:
         self.calls += 1
@@ -155,3 +153,16 @@ def test_process_backend_sweep_matches_serial(tmp_path):
     assert proc_report.failed == serial_report.failed == 0
     # completion order differs; the table must not
     assert proc_report.fingerprint == serial_report.fingerprint
+
+
+@pytest.mark.proc
+def test_process_sweep_leaves_plan_cache_detached(tmp_path):
+    """The sweep attaches its compile cache only for the run, after the
+    process pool has pickled the model, and detaches it at the end."""
+    space = capped_combo()
+    model = combo_surrogate(space)
+    report = SpaceSweeper(space, model, tmp_path,
+                          SweepConfig(cap=16, backend="process", workers=2),
+                          metadata=dict(CLI_METADATA, cap=16)).run()
+    assert report.evaluated > 0 and report.failed == 0
+    assert model.plan_cache is None

@@ -1,6 +1,5 @@
 """Unit tests for the evaluator API, cache, and Balsam backend."""
 
-import numpy as np
 import pytest
 
 from repro.evaluator import (BalsamEvaluator, BalsamService, EvalCache,
@@ -408,72 +407,3 @@ class TestEmptyBatch:
         sim.run()
         recs = ev.get_finished_evals()
         assert len(recs) == 1 and recs[0].cached
-
-
-class TestBatchStatsEvent:
-    """The broker's batched plan gather: each submission prefetches every
-    distinct architecture's plan from the shared cache and reports the
-    gather through a BATCH_STATS event."""
-
-    def _surrogate_with_cache(self):
-        from repro.hpc import TrainingCostModel
-        from repro.nas.plancache import PlanCache
-        from repro.nas.spaces import combo_small
-        from repro.problems.combo import COMBO_PAPER_SHAPES, combo_head
-        from repro.rewards import SurrogateReward
-
-        space = combo_small()
-        rm = SurrogateReward(space, COMBO_PAPER_SHAPES, combo_head(),
-                             TrainingCostModel.combo_paper(), epochs=1,
-                             train_fraction=0.1, timeout=600.0, seed=7)
-        rm.set_plan_cache(PlanCache())
-        return space, rm
-
-    def test_no_plan_cache_no_event(self):
-        from repro.events import BATCH_STATS, RecordingSink
-
-        sink = RecordingSink()
-        ev = SerialEvaluator(StubReward(), sink=sink, use_cache=False)
-        ev.add_eval_batch([A(1), A(2)])
-        assert sink.of_kind(BATCH_STATS) == []
-
-    def test_gather_reports_batch_and_cache_deltas(self):
-        from repro.events import BATCH_STATS, RecordingSink
-
-        space, rm = self._surrogate_with_cache()
-        sink = RecordingSink()
-        ev = SerialEvaluator(rm, sink=sink, use_cache=False)
-        rng = np.random.default_rng(0)
-        archs = [space.random_architecture(rng) for _ in range(3)]
-
-        ev.add_eval_batch([archs[0], archs[0], archs[1], archs[2]])
-        first = sink.of_kind(BATCH_STATS)[0].payload
-        assert first["batch"] == 4
-        assert first["distinct"] == 3       # duplicate deduplicated
-        assert first["plan_misses"] == 3    # cold cache: all compiled
-        assert first["plan_hits"] == 0
-
-        # resubmission: every distinct arch answered from the warm cache.
-        # the evaluate() calls of batch one also hit the cache, so only
-        # the *delta* across this gather is asserted
-        ev.add_eval_batch(archs)
-        second = sink.of_kind(BATCH_STATS)[1].payload
-        assert second["distinct"] == 3
-        assert second["plan_hits"] == 3
-        assert second["plan_misses"] == 0
-
-    def test_event_payload_serializes(self):
-        import json
-
-        from repro.events import BATCH_STATS, RecordingSink
-
-        space, rm = self._surrogate_with_cache()
-        sink = RecordingSink()
-        ev = SerialEvaluator(rm, sink=sink)
-        ev.add_eval_batch([space.random_architecture(np.random.default_rng(1))])
-        event = sink.of_kind(BATCH_STATS)[0]
-        round_trip = json.loads(json.dumps(event.to_dict()))
-        assert round_trip["kind"] == BATCH_STATS
-        assert set(round_trip["payload"]) == {"batch", "distinct",
-                                              "plan_hits", "plan_misses",
-                                              "iso_hits"}

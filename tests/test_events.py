@@ -10,8 +10,7 @@ import json
 
 import pytest
 
-from repro.events import (AGENT_DONE, BARRIER, BATCH_STATS, CACHE_HIT,
-                          EVAL_DONE, PUSH,
+from repro.events import (AGENT_DONE, BARRIER, CACHE_HIT, EVAL_DONE, PUSH,
                           RESTART, ROLLBACK, SUBMIT, CallbackSink, JsonlSink,
                           NullSink, RecordingSink, SearchEvent, TeeSink,
                           emit, read_events)
@@ -243,31 +242,3 @@ class TestSearchStream:
         total_rollbacks = sum(res.agent_rollbacks.values())
         assert len(sink.of_kind(ROLLBACK)) == total_rollbacks
         assert total_rollbacks > 0
-
-
-class TestBatchStatsStream:
-    def test_batch_stats_emitted_per_submission(self, space):
-        # long enough to converge, so architectures get resubmitted and
-        # the warm cache must answer some gathers outright
-        sink = RecordingSink()
-        res = NasSearch(space, make_surrogate(space),
-                        small_config("a3c", minutes=360),
-                        event_sink=sink).run()
-        assert res.converged
-        submits = sink.of_kind(SUBMIT)
-        stats = sink.of_kind(BATCH_STATS)
-        # one gather per non-empty submission
-        assert len(stats) == len([e for e in submits
-                                  if e.payload["count"] > 0])
-        for event in stats:
-            p = event.payload
-            assert p["distinct"] <= p["batch"]
-            assert p["plan_hits"] + p["plan_misses"] == p["distinct"]
-        assert any(e.payload["plan_hits"] > 0 for e in stats)
-
-    def test_no_batch_stats_with_plan_cache_off(self, space):
-        sink = RecordingSink()
-        NasSearch(space, make_surrogate(space),
-                  small_config("a3c", plan_cache=False),
-                  event_sink=sink).run()
-        assert sink.of_kind(BATCH_STATS) == []

@@ -198,12 +198,13 @@ class TestTrainingRewardRobustness:
 
     def test_build_floating_point_error_caught(self, small_combo,
                                                monkeypatch):
-        import repro.rewards.training as training_mod
+        import repro.rewards.base as base_mod
 
         def exploding_compile(*args, **kwargs):
             raise FloatingPointError("degenerate initialization")
 
-        monkeypatch.setattr(training_mod, "compile_architecture",
+        # TrainingReward compiles through RewardModel._compile_plan
+        monkeypatch.setattr(base_mod, "compile_architecture",
                             exploding_compile)
         rm = TrainingReward(small_combo, epochs=1)
         arch = small_combo.space.decode([1] * 9 + [0] + [1] * 3)

@@ -41,6 +41,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(wall_time=0.0)
 
+    @pytest.mark.parametrize("patience", [0, -2])
+    def test_convergence_patience_validated(self, patience):
+        # below 1, every agent would count as converged after its first
+        # iteration, whatever it submitted
+        with pytest.raises(ValueError, match="convergence_patience"):
+            SearchConfig(convergence_patience=patience)
+
     def test_defaults_match_paper(self):
         cfg = SearchConfig()
         assert cfg.allocation == NodeAllocation.paper_256()

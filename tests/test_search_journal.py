@@ -270,6 +270,31 @@ class TestBuildReplay:
     def test_empty_stream(self):
         assert build_replay([], None) == {}
 
+    def test_old_journal_batch_gather_records_are_ignored(self, tmp_path):
+        """Journals written while the broker still gathered plans carry
+        a ``batch-stats`` record after every submit; read back from
+        disk, they replay exactly like the stream without them."""
+        space = combo_small()
+        archs = [self.arch(space, i).to_dict() for i in range(2)]
+        batch_stats = SearchEvent(
+            "batch-stats", 0.0, agent_id=0,
+            payload={"batch": 2, "distinct": 2, "plan_hits": 0,
+                     "plan_misses": 2, "iso_hits": 0})
+        current = [SearchEvent(SUBMIT, 0.0, agent_id=0,
+                               payload={"count": 2}),
+                   eval_done(0, archs[0], reward=0.1),
+                   eval_done(0, archs[1], reward=0.2, time=2.0)]
+        old = current[:1] + [batch_stats] + current[1:]
+        writer = JournalWriter(tmp_path / JOURNAL_NAME)
+        for event in old:
+            writer.append(event)
+        writer.close()
+        from_disk = read_journal(tmp_path / JOURNAL_NAME)
+        assert [e.kind for e in from_disk] == [e.kind for e in old]
+        replay = build_replay(from_disk, None)
+        assert replay == build_replay(current, None)
+        assert [e.reward for e in replay[0]] == [0.1, 0.2]
+
 
 class TestResumeDurableValidation:
     def test_requires_journal_dir(self):

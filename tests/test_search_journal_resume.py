@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.events import BATCH_STATS, EVAL_DONE
+from repro.events import EVAL_DONE, SUBMIT
 from repro.search.chaos import (check_crashpoint_rows, crashpoint_child,
                                 crashpoint_matrix, _journal_real_evals)
 from repro.search.journal import GENERATIONS_DIR, JOURNAL_NAME, read_journal
@@ -204,12 +204,11 @@ class TestCounterRestoration:
                 "counters": broker_counters(search)}
 
     def test_batch_stats_suffix_matches(self, baselines, tmp_path):
-        """The resumed run's re-emitted per-batch tallies are exactly a
-        suffix of the uninterrupted run's tally stream (the resumed
-        window starts at the checkpointed agent boundaries, which may
-        sit a few records before the generation's own journal stamp).
-        Plan-cache hit/miss splits are excluded by design: the resumed
-        process starts with a cold plan cache."""
+        """The resumed run's re-emitted per-batch ``(agent, count)``
+        submit tallies are exactly a suffix of the uninterrupted run's
+        tally stream (the resumed window starts at the checkpointed
+        agent boundaries, which may sit a few records before the
+        generation's own journal stamp)."""
         base = baselines["a3c"]
         work = tmp_path / "run"
         shutil.copytree(base["dir"], work)
@@ -219,8 +218,8 @@ class TestCounterRestoration:
 
         def tallies(directory, start):
             events = list(read_journal(Path(directory) / JOURNAL_NAME))
-            return [(e.agent_id, e.payload["batch"], e.payload["distinct"])
-                    for e in events[start:] if e.kind == BATCH_STATS]
+            return [(e.agent_id, e.payload["count"])
+                    for e in events[start:] if e.kind == SUBMIT]
 
         resumed = tallies(work, k)
         full = tallies(base["dir"], 0)
